@@ -199,21 +199,6 @@ def _segment_sigma_stats(
     return sig, cnt
 
 
-def _filter_mask(
-    lo: int,
-    hi: int,
-    q: int,
-    f: CensusFilter,
-    cnt: Optional[np.ndarray],
-) -> Optional[np.ndarray]:
-    """Boolean admission mask for the filter, or None for 'admit all'."""
-    if f.kind == "coprime-only":
-        return np.gcd(np.arange(lo, hi, dtype=np.int64), q) == 1
-    if f.kind == "pk-threshold":
-        return cnt >= f.k
-    return None
-
-
 def iter_sigma_segments(
     x: int,
     q: int,
@@ -244,6 +229,41 @@ def iter_sigma_segments(
         yield lo, hi, sig, cnt
 
 
+def _class_totals(
+    x: int,
+    m: Modulus,
+    f: CensusFilter,
+    sieve: Optional[FactorSieve],
+    segment_length: Optional[int],
+    workers: int,
+) -> np.ndarray:
+    """int64 array over 0..q−1 of #{filtered n ≤ x : σ(n) ≡ a}, zero at
+    non-units a; exact, so the same for any segment length and workers."""
+    if x < 1:
+        raise OutOfRangeError(f"x must be >= 1, got {x}")
+    if sieve is not None and x > sieve.limit:
+        raise OutOfRangeError(f"x = {x} exceeds sieve limit {sieve.limit}")
+    q = m.q
+    primes = _primes_up_to(math.isqrt(x), sieve)
+    seg_len = segment_length or DEFAULT_SEGMENT_LENGTH
+    threshold = f.threshold if f.kind == "pk-threshold" else None
+
+    def one_segment(lo: int, hi: int) -> np.ndarray:
+        sig, cnt = _segment_sigma_stats(lo, hi, q, primes, threshold)
+        if f.kind == "coprime-only":
+            sig = sig[np.gcd(np.arange(lo, hi, dtype=np.int64), q) == 1]
+        elif f.kind == "pk-threshold":
+            sig = sig[cnt >= f.k]
+        return np.bincount(sig, minlength=q)
+
+    parts = map_segments(1, x + 1, seg_len, one_segment, workers)
+    totals = np.zeros(q, dtype=np.int64)
+    for part in parts:
+        totals += part
+    totals[~m.unit_mask] = 0
+    return totals
+
+
 def census(
     x: int,
     m: Modulus,
@@ -261,30 +281,10 @@ def census(
     order and all arithmetic is integral.
     """
     x = int(x)
-    if x < 1:
-        raise OutOfRangeError(f"x must be >= 1, got {x}")
     if f is None:
         f = CensusFilter.all_integers()
-    if sieve is not None and x > sieve.limit:
-        raise OutOfRangeError(f"x = {x} exceeds sieve limit {sieve.limit}")
+    totals = _class_totals(x, m, f, sieve, segment_length, workers)
     q = m.q
-    primes = _primes_up_to(math.isqrt(x), sieve)
-    seg_len = segment_length or DEFAULT_SEGMENT_LENGTH
-    threshold = f.threshold if f.kind == "pk-threshold" else None
-    unit_mask = m.unit_mask
-
-    def one_segment(lo: int, hi: int) -> np.ndarray:
-        sig, cnt = _segment_sigma_stats(lo, hi, q, primes, threshold)
-        keep = unit_mask[sig]
-        extra = _filter_mask(lo, hi, q, f, cnt)
-        if extra is not None:
-            keep &= extra
-        return np.bincount(sig[keep], minlength=q)
-
-    parts = map_segments(1, x + 1, seg_len, one_segment, workers)
-    totals = np.zeros(q, dtype=np.int64)
-    for part in parts:
-        totals += part
     units = m.units
     counts = {int(a): int(totals[a]) for a in units}
     total = int(totals[units].sum())
@@ -322,33 +322,16 @@ def twisted_partial_sum(
     Terms with gcd(σ(n), q) > 1 contribute 0 through the character's
     zero extension.  For the principal character this is exactly the
     coprime total of the census; for nonprincipal characters
-    orthogonality makes it the error term of equidistribution.
+    orthogonality makes it the error term of equidistribution.  Taken as
+    the character transform of the census's exact class totals, so it
+    does not depend on segment_length or workers.
     """
     x = int(x)
-    if x < 1:
-        raise OutOfRangeError(f"x must be >= 1, got {x}")
     if f is None:
         f = CensusFilter.all_integers()
-    if sieve is not None and x > sieve.limit:
-        raise OutOfRangeError(f"x = {x} exceeds sieve limit {sieve.limit}")
-    q = chi.modulus.q
-    primes = _primes_up_to(math.isqrt(x), sieve)
-    seg_len = segment_length or DEFAULT_SEGMENT_LENGTH
-    threshold = f.threshold if f.kind == "pk-threshold" else None
-    table = chi.complex_table()
-
-    def one_segment(lo: int, hi: int) -> complex:
-        sig, cnt = _segment_sigma_stats(lo, hi, q, primes, threshold)
-        extra = _filter_mask(lo, hi, q, f, cnt)
-        if extra is not None:
-            sig = sig[extra]
-        return complex(table[sig].sum())
-
-    parts = map_segments(1, x + 1, seg_len, one_segment, workers)
-    total = 0j
-    for part in parts:
-        total += part
-    return total
+    m = chi.modulus
+    totals = _class_totals(x, m, f, sieve, segment_length, workers)
+    return complex(m.character_transform(totals)[chi.index])
 
 
 def prime_reciprocal_sum(

@@ -12,7 +12,9 @@ gets explicit generators with known orders:
 A character is the tuple of exponents it assigns to those generators, and a
 character value is an exact root of unity zeta_N^k (N = group exponent),
 materialized to complex only at the edge of a computation. Discrete-log
-tables per prime power make bulk evaluation a few numpy gathers.
+tables per prime power make bulk evaluation a few numpy gathers, and sums
+over all phi(q) characters at once one FFT over the discrete-log
+coordinates of U_q (Modulus.character_transform).
 """
 
 from __future__ import annotations
@@ -249,7 +251,7 @@ class Modulus:
         self._basis: UnitGroupBasis | None = None
         self._unit_mask: np.ndarray | None = None
         self._units: np.ndarray | None = None
-        self._residue_tables: dict[int, np.ndarray] = {}
+        self._unit_dlog_index: np.ndarray | None = None
 
     def __repr__(self) -> str:
         return f"Modulus({self.q})"
@@ -279,7 +281,10 @@ class Modulus:
     @property
     def unit_mask(self) -> np.ndarray:
         if self._unit_mask is None:
-            self._unit_mask = np.gcd(np.arange(self.q, dtype=np.int64), self.q) == 1
+            mask = np.ones(self.q, dtype=bool)
+            for ell, _ in self.factorization:
+                mask[::ell] = False
+            self._unit_mask = mask
         return self._unit_mask
 
     @property
@@ -288,13 +293,31 @@ class Modulus:
             self._units = np.flatnonzero(self.unit_mask).astype(np.int64)
         return self._units
 
-    def residue_table(self, prime_power: int) -> np.ndarray:
-        """Cached arange(q) % prime_power used for per-block dlog gathers."""
-        tbl = self._residue_tables.get(prime_power)
-        if tbl is None:
-            tbl = np.arange(self.q, dtype=np.int64) % prime_power
-            self._residue_tables[prime_power] = tbl
-        return tbl
+    def character_transform(self, w) -> np.ndarray:
+        """sum over units v of w[v] * chi(v), for all phi(q) characters chi.
+
+        w is a real or integer array over the residues 0..q-1; non-units are
+        ignored. Entry i of the complex128 result is for self.character(i),
+        the order of characters(). With chi(g_j) = exp(+2 pi i t_j/order_j),
+        the sign of exponent_table, this is phi times an inverse FFT over the
+        dlog grid of U_q, one axis per generator, the last varying fastest:
+        O(q + phi log phi).
+        """
+        w = np.asarray(w)
+        if w.shape != (self.q,):
+            raise ValueError(f"weights must have shape ({self.q},), got {w.shape}")
+        basis = self.basis
+        if self._unit_dlog_index is None:
+            # flat grid index of each unit, the same mixed radix as .index
+            units = self.units
+            idx = np.zeros(units.shape[0], dtype=np.int64)
+            for g, dlog in zip(basis.generators, basis.dlogs):
+                idx = idx * g.order + dlog[units % g.prime_power]
+            self._unit_dlog_index = idx
+        grid = np.zeros(self.phi, dtype=np.float64)
+        grid[self._unit_dlog_index] = w[self.units]
+        shape = tuple(g.order for g in basis.generators) or (1,)
+        return np.fft.ifftn(grid.reshape(shape)).reshape(-1) * self.phi
 
     def characters(self):
         """All phi(q) characters, in a fixed deterministic order.
@@ -408,12 +431,13 @@ class DirichletCharacter:
         """
         m = self.modulus
         n = m.exponent
+        v = np.arange(m.q, dtype=np.int64)
         k = np.zeros(m.q, dtype=np.int64)
         for t, gen, dlog in zip(self.exponents, m.basis.generators, m.basis.dlogs):
             if t == 0:
                 continue
             w = t * (n // gen.order)
-            k += w * dlog[m.residue_table(gen.prime_power)].astype(np.int64)
+            k += w * dlog[v % gen.prime_power].astype(np.int64)
         k %= n
         k[~m.unit_mask] = -1
         return k

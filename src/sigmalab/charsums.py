@@ -13,6 +13,11 @@ primitive chi obey a square-root bound (ell^{e/2} for ell >= 5, e >= 2),
 checked exhaustively by weil_clz_check. verify_s_set recomputes the
 quarter-bound inequality on the eighteen exceptional conductors where only
 Re(eta_chi), not |eta_chi|, stays below alpha_tilde(q)/4.
+
+Sums for every character of one modulus (tables, power sums, the Weil and
+S-set checks) are one Modulus.character_transform of the polynomial's value
+histogram, O(q + phi log phi). rho_brute, eta_brute, rho_exact, eta_factored
+and s_chi_ell take one character at a time, as oracles for the transform.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from .characters import (
 from .errors import (
     EvenModulusWarning,
     OutOfRangeError,
-    ResourceBudgetError,
     UnsupportedModulusError,
 )
 
@@ -205,13 +209,13 @@ class WeilBoundReport:
     all_within: bool
 
 
-def weil_clz_check(ell: int, e: int,
-                   work_budget: int = 500_000_000) -> WeilBoundReport:
+def weil_clz_check(ell: int, e: int) -> WeilBoundReport:
     """Check |sum_{v mod ell^e} chi(v^2+v+1)| <= ell^{e/2} for all primitive chi.
 
     Requires a prime ell >= 5 and e >= 2, the regime in which the square-root
-    bound for these complete sums holds. The scan costs about phi(ell^e)^2
-    operations, capped by work_budget.
+    bound for these complete sums holds. All sums are one character
+    transform, O(ell^e log ell^e). worst_index is the least primitive index
+    whose |sum| is within 1e-9 * bound of max_abs: rounding decides ties.
     """
     if trial_factorization(ell) != ((ell, 1),) or ell < 5:
         raise OutOfRangeError(f"ell must be a prime at least 5, got {ell}")
@@ -219,34 +223,16 @@ def weil_clz_check(ell: int, e: int,
         raise OutOfRangeError(f"e must be at least 2, got {e}")
     modulus = ell ** e
     m = shared_modulus(modulus)
-    n = m.phi  # single cyclic block: group exponent = phi
-    if n * n > work_budget:
-        raise ResourceBudgetError(
-            f"primitive-character scan mod {modulus} needs ~{n * n} operations, "
-            f"over the budget {work_budget}")
     v = np.arange(modulus, dtype=np.int64)
-    vals = (v * v + v + 1) % modulus
-    dlog = m.basis.dlogs[0]
-    kv = dlog[vals].astype(np.int64)
-    hist = np.bincount(kv[kv >= 0], minlength=n).astype(np.float64)
-    roots = np.exp(2j * np.pi * np.arange(n) / n)
-    j = np.arange(n, dtype=np.int64)
+    hist = np.bincount((v * v + v + 1) % modulus, minlength=modulus)
+    primitive = np.flatnonzero(np.arange(m.phi) % ell)  # one generator: index t
+    prim_abs = np.abs(m.character_transform(hist))[primitive]
     bound = math.sqrt(modulus)
-    max_abs = 0.0
-    worst = -1
-    num_primitive = 0
-    for t in range(1, n):
-        if t % ell == 0:
-            continue  # conductor drops below ell^e
-        num_primitive += 1
-        s = (hist * roots[(t * j) % n]).sum()
-        a = abs(s)
-        if a > max_abs:
-            max_abs = a
-            worst = t
+    max_abs = float(prim_abs.max())
+    worst = int(primitive[np.argmax(prim_abs >= max_abs - 1e-9 * bound)])
     return WeilBoundReport(
         ell=ell, e=e, modulus=modulus, bound=bound,
-        num_primitive=num_primitive, max_abs=max_abs,
+        num_primitive=int(primitive.shape[0]), max_abs=max_abs,
         max_ratio=max_abs / bound, worst_index=worst,
         all_within=max_abs <= bound + 1e-9)
 
@@ -284,7 +270,8 @@ def verify_s_set(m: Modulus | None = None) -> SSetReport:
     """Recompute the quarter bound on the eighteen exceptional conductors.
 
     For each Q, maximizes Re(sum over units v mod Q of psi(v^2+v+1)) over
-    the primitive characters psi mod Q and divides by the product of
+    the primitive characters psi mod Q, taking all the sums mod Q from one
+    character transform of the value histogram, and divides by the product of
     (ell-3) or (ell-1) over ell | Q according to ell mod 3. The global
     maximum must be exactly 1/4; the attaining sums are rational integers,
     so attainment is detected by integer rounding of 4 times the sum
@@ -299,23 +286,15 @@ def verify_s_set(m: Modulus | None = None) -> SSetReport:
     rows = []
     for Q in conductors:
         mq = shared_modulus(Q)
-        units = mq.units
-        vals = (units * units + units + 1) % Q
-        best = -math.inf
-        num_primitive = 0
-        for chi in mq.characters():
-            if chi.conductor != Q:
-                continue
-            num_primitive += 1
-            s = chi.complex_table()[vals].sum()
-            if s.real > best:
-                best = s.real
+        sums = _unit_value_transform(mq, SIGMA_AT_PRIME_SQUARE)
+        primitive = np.array([chi.conductor == Q for chi in mq.characters()])
+        best = float(sums.real[primitive].max())
         denom = _exceptional_denominator(Q)
         scaled = 4.0 * best
         attains = (abs(scaled - round(scaled)) < 1e-6
                    and round(scaled) == denom)
         rows.append(SSetRow(
-            conductor=Q, denominator=denom, num_primitive=num_primitive,
+            conductor=Q, denominator=denom, num_primitive=int(primitive.sum()),
             max_re_sum=best, normalized=best / denom,
             attains_quarter=attains))
     global_max = max((r.normalized for r in rows), default=0.0)
@@ -405,38 +384,38 @@ def alpha_F(F: PolynomialSpec, m: Modulus) -> Fraction:
     return out
 
 
+def _unit_value_transform(m: Modulus, F: PolynomialSpec) -> np.ndarray:
+    """sum over units v mod q of chi(F(v)), for every chi in enumeration order."""
+    hist = np.bincount(F.evaluate_array(m.units, m.q), minlength=m.q)
+    return m.character_transform(hist)
+
+
 def rho_power_sum(m: Modulus, exponent: int = 2) -> float:
     """sum over nonprincipal chi mod q of |rho_chi|^exponent (odd q).
 
-    Evaluated through the exact closed form, so the result is a rational
-    number returned as a float.
+    All rho_chi come from one character transform, as in rho_table.
     """
     if m.q % 2 == 0:
         raise UnsupportedModulusError(
             f"rho power sums require an odd modulus, got {m.q}")
     if exponent < 1:
         raise ValueError("exponent must be a positive integer")
-    total = Fraction(0)
-    for chi in m.characters():
-        if chi.is_principal:
-            continue
-        total += abs(rho_exact(chi)) ** exponent
-    return float(total)
+    rho = _unit_value_transform(m, SIGMA_AT_PRIME)[1:] / m.phi
+    return float(np.sum(np.abs(rho) ** exponent))
 
 
 def eta_power_sum(m: Modulus, exponent: int = 3) -> float:
-    """sum over nonprincipal chi mod q of |eta_chi|^exponent (3 must not divide q)."""
+    """sum over nonprincipal chi mod q of |eta_chi|^exponent (3 must not divide q).
+
+    All eta_chi come from one character transform, as in eta_table.
+    """
     if m.q % 3 == 0:
         raise UnsupportedModulusError(
             f"eta power sums require gcd(q, 3) = 1, got q = {m.q}")
     if exponent < 1:
         raise ValueError("exponent must be a positive integer")
-    total = 0.0
-    for chi in m.characters():
-        if chi.is_principal:
-            continue
-        total += abs(eta_factored(chi)) ** exponent
-    return total
+    eta = _unit_value_transform(m, SIGMA_AT_PRIME_SQUARE)[1:] / m.phi
+    return float(np.sum(np.abs(eta) ** exponent))
 
 
 @dataclass(frozen=True)
@@ -450,21 +429,21 @@ class CharacterAverageRow:
     value: complex
 
 
+def _average_table(m: Modulus, F: PolynomialSpec) -> list[CharacterAverageRow]:
+    values = _unit_value_transform(m, F) / m.phi
+    return [CharacterAverageRow(
+        index=i, exponents=chi.exponents, order=chi.order,
+        conductor=chi.conductor, value=complex(values[i]))
+        for i, chi in enumerate(m.characters())]
+
+
 def rho_table(m: Modulus) -> list[CharacterAverageRow]:
-    """rho_chi for every character mod q, in enumeration order."""
-    rows = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EvenModulusWarning)
-        for i, chi in enumerate(m.characters()):
-            rows.append(CharacterAverageRow(
-                index=i, exponents=chi.exponents, order=chi.order,
-                conductor=chi.conductor, value=rho_brute(chi)))
-    return rows
+    """rho_chi for every character mod q, in enumeration order: the
+    character transform of the histogram of v+1 over units v, over phi(q)."""
+    return _average_table(m, SIGMA_AT_PRIME)
 
 
 def eta_table(m: Modulus) -> list[CharacterAverageRow]:
-    """eta_chi for every character mod q, via the local factorization."""
-    return [CharacterAverageRow(
-        index=i, exponents=chi.exponents, order=chi.order,
-        conductor=chi.conductor, value=eta_factored(chi))
-        for i, chi in enumerate(m.characters())]
+    """eta_chi for every character mod q, in enumeration order: the
+    character transform of the histogram of v^2+v+1 over units v, over phi(q)."""
+    return _average_table(m, SIGMA_AT_PRIME_SQUARE)

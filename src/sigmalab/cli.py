@@ -7,10 +7,11 @@ byte-identical output; the worker count only changes wall time, never
 bytes.  Numeric flags accept scientific notation (--x 1e7).
 
 Exit codes: 0 success, 1 a verification-style subcommand found a
-violation (weil-check, verify-s-set, witness mismatch), 2 bad usage,
-3 a resource budget was exceeded.  The memory budget defaults to
-2·10⁹ bytes and can be overridden by --memory-budget or the
-SIGMALAB_MEMORY_BUDGET environment variable (flag wins).
+violation (weil-check, verify-s-set, witness mismatch), 2 bad usage or
+an argument out of range (one line on stderr), 3 a resource budget was
+exceeded.  The memory budget defaults to 2·10⁹ bytes and can be
+overridden by --memory-budget or the SIGMALAB_MEMORY_BUDGET environment
+variable (flag wins).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .charsums import (
     verify_s_set,
     weil_clz_check,
 )
-from .errors import ResourceBudgetError
+from .errors import OutOfRangeError, ResourceBudgetError, UnsupportedModulusError
 from .lsd import (
     TwistedSumParams,
     convergence_scan,
@@ -70,6 +71,8 @@ def _parse_int(text: str) -> int:
         value = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
     rounded = int(round(value))
     if abs(value - rounded) > 1e-6 * max(1.0, abs(value)):
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
@@ -565,8 +568,15 @@ def _cmd_prime_recip(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------------- main
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one line, without the usage block, exit 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sigmalab",
         description="Exact censuses of sigma(n) in residue classes, character "
                     "averages over shifted and quadratic arguments, rough-number "
@@ -741,6 +751,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ResourceBudgetError as exc:
         print(f"sigmalab: resource budget exceeded: {exc}", file=sys.stderr)
         return 3
+    except (OutOfRangeError, UnsupportedModulusError) as exc:
+        print(f"sigmalab: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -120,6 +120,21 @@ def test_orthogonality_reconstruction():
             assert abs(rebuilt - count) <= 1e-6 * x, (q, a)
 
 
+def test_twisted_sum_independent_of_segments_and_workers():
+    """Bit-identical for every segment length and worker count."""
+    x = 200_000
+    for q in (7, 15):
+        m = build_modulus(q)
+        chi = m.character(m.phi - 1)  # nonprincipal on every prime of q
+        for f in (None, CensusFilter.pk_threshold(2, 100)):
+            base = twisted_partial_sum(x, chi, f)
+            for seg in (None, 997, 9973):
+                for workers in (1, 2, 8):
+                    got = twisted_partial_sum(x, chi, f, segment_length=seg,
+                                              workers=workers)
+                    assert got == base, (q, f, seg, workers)
+
+
 def test_twisted_principal_equals_total():
     x = 50_000
     for q in (5, 14):

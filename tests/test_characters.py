@@ -8,6 +8,7 @@ never the generator/discrete-log representation under test.
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from sigmalab import (
@@ -204,3 +205,9 @@ def test_modulus_validation():
         Modulus(-5)
     with pytest.raises(ResourceBudgetError):
         Modulus(10**8)
+
+
+def test_unit_mask_matches_gcd():
+    for q in (*range(1, 2001), 9_999_991, 2 * 3 * 5 * 7 * 11 * 13):
+        want = np.gcd(np.arange(q, dtype=np.int64), q) == 1
+        assert np.array_equal(build_modulus(q).unit_mask, want), q

@@ -9,6 +9,7 @@ re-derived on the fixed eighteen conductors.
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sigmalab import (
@@ -255,3 +256,24 @@ def test_tables_align_with_single_calls():
         assert abs(row.value - rho_brute(chi)) < 1e-10
     for row, chi in zip(eta_table(m), chars):
         assert abs(row.value - eta_brute(chi)) < 1e-10
+
+
+def test_weil_check_13_to_the_4():
+    """The check runs at 13^4, over every primitive character."""
+    report = weil_clz_check(13, 4)
+    assert report.all_within
+    assert report.num_primitive == 13**3 * 12 - 13**2 * 12
+
+
+def test_weil_worst_index_is_smallest_near_maximum():
+    """worst_index is the least primitive t whose |S| lies within
+    1e-9 * bound of max_abs, recomputed here character by character."""
+    report = weil_clz_check(5, 2)
+    m = build_modulus(25)
+    v = np.arange(25)
+    vals = (v * v + v + 1) % 25
+    sums = {chi.index: abs(chi.complex_table()[vals].sum())
+            for chi in enumerate_characters(m) if chi.conductor == 25}
+    assert max(sums.values()) == pytest.approx(report.max_abs, abs=1e-9)
+    near = [t for t, s in sums.items() if s >= report.max_abs - 1e-9 * report.bound]
+    assert report.worst_index == min(near)

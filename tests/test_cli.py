@@ -180,3 +180,15 @@ def test_curve_and_lift_payloads(tmp_path):
     code, raw = run(tmp_path, "lift-count", "--ell", "5")
     doc = json.loads(raw)
     assert code == 0 and doc["count"] == 45 and doc["target"] == 24
+
+
+@pytest.mark.parametrize("x", ["inf", "nan", "-5"])
+def test_exit_code_2_on_out_of_range_x(capsys, x):
+    """Non-finite or negative --x: one line on stderr and exit 2, no traceback."""
+    try:
+        code = cli.main(["census", "--x", x, "--q", "5"])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("sigmalab")
