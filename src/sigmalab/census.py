@@ -21,14 +21,17 @@ control it through orthogonality, the prime reciprocal sums
 equidistribution exponent, a discrepancy statistic, and the main-term
 shapes x/(log x)^{1−α} and √x/(log x)^{1−α̃} for coprime-σ counts.
 
-All counting is exact 64-bit integer arithmetic; parallel runs merge
-per-segment results in segment order, so outputs are identical for any
-worker count.
+All counting is exact 64-bit integer arithmetic.  Each segment's class
+bincount is added into one shared total under a lock and then dropped;
+integer addition is exact in any order, so outputs are identical for any
+worker count and segment length, and a census holds O(workers·(segment
++ q)) memory however many segments it scans.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -56,6 +59,9 @@ __all__ = [
 ]
 
 _FILTER_KINDS = ("all", "coprime-only", "pk-threshold")
+# Classes per zip() when CensusReport.counts is built; one whole-array
+# zip would hold two φ(q)-long lists of Python ints at once.
+_DICT_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -238,7 +244,12 @@ def _class_totals(
     workers: int,
 ) -> np.ndarray:
     """int64 array over 0..q−1 of #{filtered n ≤ x : σ(n) ≡ a}, zero at
-    non-units a; exact, so the same for any segment length and workers."""
+    non-units a.
+
+    Every segment adds its bincount into the one total under a lock, so
+    at most `workers` q-length parts are alive at a time.  The sum is
+    exact in any order, hence the same for any segment length and
+    workers."""
     if x < 1:
         raise OutOfRangeError(f"x must be >= 1, got {x}")
     if sieve is not None and x > sieve.limit:
@@ -248,20 +259,27 @@ def _class_totals(
     seg_len = segment_length or DEFAULT_SEGMENT_LENGTH
     threshold = f.threshold if f.kind == "pk-threshold" else None
 
-    def one_segment(lo: int, hi: int) -> np.ndarray:
+    totals = np.zeros(q, dtype=np.int64)
+    fold = threading.Lock()
+
+    def one_segment(lo: int, hi: int) -> None:
         sig, cnt = _segment_sigma_stats(lo, hi, q, primes, threshold)
         if f.kind == "coprime-only":
             sig = sig[np.gcd(np.arange(lo, hi, dtype=np.int64), q) == 1]
         elif f.kind == "pk-threshold":
             sig = sig[cnt >= f.k]
-        return np.bincount(sig, minlength=q)
+        part = np.bincount(sig, minlength=q)
+        with fold:
+            np.add(totals, part, out=totals)
 
-    parts = map_segments(1, x + 1, seg_len, one_segment, workers)
-    totals = np.zeros(q, dtype=np.int64)
-    for part in parts:
-        totals += part
+    map_segments(1, x + 1, seg_len, one_segment, workers)
     totals[~m.unit_mask] = 0
     return totals
+
+
+def _max_rel_deviation(counts: np.ndarray, total: int) -> float:
+    """max over classes of |count·φ(q)/total − 1|, counts over the φ(q) units."""
+    return float(np.max(np.abs(counts * counts.shape[0] / total - 1.0)))
 
 
 def census(
@@ -277,23 +295,23 @@ def census(
 
     Only n with gcd(σ(n), q) = 1 are counted at all (σ values sharing
     a factor with q belong to no coprime class).  Deterministic for
-    any worker count: per-segment bincounts are summed in segment
-    order and all arithmetic is integral.
+    any worker count and segment length: each segment's bincount is
+    added into one int64 total under a lock, an exact integer fold, so
+    memory stays O(workers·(segment + q)).
     """
     x = int(x)
     if f is None:
         f = CensusFilter.all_integers()
-    totals = _class_totals(x, m, f, sieve, segment_length, workers)
     q = m.q
     units = m.units
-    counts = {int(a): int(totals[a]) for a in units}
-    total = int(totals[units].sum())
-    phi = m.phi
-    mean = total / phi
-    if total > 0:
-        max_rel = float(np.max(np.abs(totals[units] * phi / total - 1.0)))
-    else:
-        max_rel = float("nan")
+    in_units = _class_totals(x, m, f, sieve, segment_length, workers)[units]
+    counts: dict[int, int] = {}
+    for start in range(0, units.shape[0], _DICT_CHUNK):
+        stop = start + _DICT_CHUNK
+        counts.update(zip(units[start:stop].tolist(), in_units[start:stop].tolist()))
+    total = int(in_units.sum())
+    mean = total / m.phi
+    max_rel = _max_rel_deviation(in_units, total) if total > 0 else float("nan")
     return CensusReport(
         x=x,
         q=q,
@@ -377,9 +395,8 @@ def discrepancy(report: CensusReport) -> float:
         raise DegenerateCensusError(
             f"census of x = {report.x}, q = {report.q} has no coprime values"
         )
-    phi = len(report.counts)
-    total = report.total_coprime
-    return max(abs(c * phi / total - 1.0) for c in report.counts.values())
+    counts = np.fromiter(report.counts.values(), np.int64, len(report.counts))
+    return _max_rel_deviation(counts, report.total_coprime)
 
 
 def rough_count_estimate(x: int, m: Modulus, which: Optional[str] = None) -> float:

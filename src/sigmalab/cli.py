@@ -23,7 +23,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Any, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from .charsums import (
     weil_clz_check,
 )
 from .errors import OutOfRangeError, ResourceBudgetError, UnsupportedModulusError
+from .factor import DEFAULT_MEMORY_BUDGET
 from .lsd import (
     TwistedSumParams,
     convergence_scan,
@@ -57,7 +58,6 @@ from .varieties import (
     v_count,
 )
 
-DEFAULT_MEMORY_BUDGET = 2_000_000_000
 ENV_MEMORY_BUDGET = "SIGMALAB_MEMORY_BUDGET"
 
 
@@ -140,6 +140,48 @@ def _config_echo(args: argparse.Namespace) -> dict[str, Any]:
     return echo
 
 
+class _IntMap:
+    """A payload mapping {str(k): v} held as two int64 arrays.
+
+    The JSON writer lays it out itself, chunk by chunk, exactly as
+    json.dumps(sort_keys=True, indent=2) would at the top level of the
+    document, so a map over millions of classes never becomes a dict.
+    """
+
+    LINE = '    "%d": %d'
+    CHUNK = 1 << 14
+
+    def __init__(self, keys: np.ndarray, values: np.ndarray) -> None:
+        self.keys = keys
+        self.values = values
+
+    def _string_order(self) -> np.ndarray:
+        """Indices sorting the keys (residues, 0 <= k < 10^18) as their
+        decimal strings sort: by the digits padded on the right to a
+        common width, then by length, so "1" < "10" < "100" < "11" < "2".
+        Ten times faster than sorting keys.astype(str)."""
+        keys = self.keys
+        digits = np.ones(keys.shape, np.int64)
+        for power in range(1, 18):
+            digits += keys >= 10**power
+        padded = keys * 10 ** (int(digits.max()) - digits)
+        return np.lexsort((digits, padded))
+
+    def write_json(self, stream) -> None:
+        if self.keys.size == 0:
+            stream.write("{}")
+            return
+        order = self._string_order()
+        stream.write("{\n")
+        for start in range(0, order.shape[0], self.CHUNK):
+            idx = order[start : start + self.CHUNK]
+            pairs = np.stack((self.keys[idx], self.values[idx]), axis=1).ravel()
+            if start:
+                stream.write(",\n")
+            stream.write(",\n".join([self.LINE] * idx.shape[0]) % tuple(pairs.tolist()))
+        stream.write("\n  }")
+
+
 class _Output:
     """Writer for one run: JSON object or commented CSV."""
 
@@ -155,7 +197,9 @@ class _Output:
         return sys.stdout
 
     def write(self, payload: dict[str, Any], header: Sequence[str],
-              rows: Sequence[Sequence[Any]], description: str) -> None:
+              rows: Iterable[Sequence[Any]], description: str) -> None:
+        """Top-level _IntMap payload values appear in JSON only; rows are
+        consumed only for CSV."""
         stream = self._open()
         try:
             if self.fmt == "json":
@@ -165,8 +209,17 @@ class _Output:
                     "command": self.command,
                     "config": _json_safe(self.config),
                 }
-                doc.update(_json_safe(payload))
-                stream.write(json.dumps(doc, sort_keys=True, indent=2))
+                maps = {k: v for k, v in payload.items() if isinstance(v, _IntMap)}
+                doc.update(_json_safe({k: v for k, v in payload.items() if k not in maps}))
+                # A NUL-led string marks each map's place; no flag value can
+                # hold a NUL character.
+                doc.update({k: "\0" + k for k in maps})
+                text = json.dumps(doc, sort_keys=True, indent=2)
+                for key in sorted(maps):
+                    head, text = text.split(json.dumps("\0" + key), 1)
+                    stream.write(head)
+                    maps[key].write_json(stream)
+                stream.write(text)
                 stream.write("\n")
             else:
                 cfg = " ".join(f"{k}={v}" for k, v in sorted(self.config.items()))
@@ -217,11 +270,16 @@ def _modulus(args: argparse.Namespace, q: Optional[int] = None) -> Modulus:
 
 
 def _census_filter(args: argparse.Namespace) -> CensusFilter:
+    """The --filter flags as a CensusFilter; a missing or invalid --k or
+    --threshold is a usage error (ArgumentTypeError, exit 2 in main)."""
     if args.filter == "pk-threshold":
         if args.k is None or args.threshold is None:
             raise argparse.ArgumentTypeError(
                 "--filter pk-threshold needs --k and --threshold")
-        return CensusFilter.pk_threshold(args.k, args.threshold)
+        try:
+            return CensusFilter.pk_threshold(args.k, args.threshold)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
     if args.filter == "coprime-only":
         return CensusFilter.coprime_only()
     return CensusFilter.all_integers()
@@ -240,11 +298,14 @@ def _cmd_census(args: argparse.Namespace) -> int:
                     workers=args.workers)
     total = report.total_coprime
     disc = report.max_rel_deviation if total > 0 else None
+    phi = len(report.counts)
+    classes = np.fromiter(report.counts.keys(), np.int64, phi)
+    counts = np.fromiter(report.counts.values(), np.int64, phi)
     payload = {
         "x": report.x,
         "q": report.q,
         "filter": {"kind": f.kind, "k": f.k, "threshold": f.threshold},
-        "counts": {str(a): c for a, c in report.counts.items()},
+        "counts": _IntMap(classes, counts),
         "total": total,
         "mean": report.mean if total > 0 else None,
         "discrepancy": disc,
@@ -252,11 +313,9 @@ def _cmd_census(args: argparse.Namespace) -> int:
         "alpha_tilde": report.alpha_tilde,
         "exponent_used": report.exponent_used,
     }
-    rows = []
-    for a, c in report.counts.items():
-        share = c / total if total else None
-        dev = (c * len(report.counts) / total - 1.0) if total else None
-        rows.append([a, c, share, dev])
+    rows = ([a, c, c / total if total else None,
+             (c * phi / total - 1.0) if total else None]
+            for a, c in report.counts.items())
     out = _Output(args, "census")
     out.write(payload, ["class", "count", "share", "rel_deviation"], rows,
               f"classes of sigma(n) mod {report.q} among units, n <= {report.x}, "
@@ -751,7 +810,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ResourceBudgetError as exc:
         print(f"sigmalab: resource budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except (OutOfRangeError, UnsupportedModulusError) as exc:
+    except (argparse.ArgumentTypeError, OutOfRangeError, UnsupportedModulusError) as exc:
         print(f"sigmalab: {exc}", file=sys.stderr)
         return 2
 

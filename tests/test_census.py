@@ -3,6 +3,7 @@ divisor-sieve oracle, orthogonality reconstruction, filters, and the
 main-term shape helpers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from sigmalab import (
     twisted_partial_sum,
     PolynomialSpec,
 )
+from sigmalab.census import _class_totals
 
 
 def divisor_sigma_table(limit: int) -> np.ndarray:
@@ -79,6 +81,23 @@ def test_census_workers_and_segments_identical():
     for workers, seg in ((4, 1_000), (8, 333), (1, 77_777)):
         again = census(200_000, m, segment_length=seg, workers=workers)
         assert again.counts == base.counts
+
+
+def test_class_totals_memory_bounded_by_workers():
+    """Segments fold into one total: at most `workers` q-length bincounts
+    are alive at once, however many segments the scan has (here 49)."""
+    q, workers = 1_000_003, 2
+    m = build_modulus(q)
+    m.unit_mask  # build the lazy table before tracing
+    tracemalloc.start()
+    try:
+        totals = _class_totals(200_000, m, CensusFilter.all_integers(), None,
+                               segment_length=4096, workers=workers)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (workers + 2) * 8 * q
+    assert int(totals.sum()) == census(200_000, m).total_coprime
 
 
 def test_iter_sigma_segments_concatenates(sieve_small):

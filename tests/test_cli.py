@@ -4,11 +4,16 @@ Runs main() in-process with --output into tmp files, so the tests see
 exactly the bytes a shell user would.
 """
 
+import argparse
 import csv
 import dataclasses
+import io
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sigmalab
 import sigmalab.cli as cli
@@ -192,3 +197,91 @@ def test_exit_code_2_on_out_of_range_x(capsys, x):
     assert code == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("sigmalab")
+
+
+@pytest.mark.parametrize("command", [
+    ["census", "--x", "100", "--q", "5"],
+    ["twisted-sum", "--x", "100", "--q", "5", "--index", "1"],
+])
+@pytest.mark.parametrize("flags", [[], ["--k", "2"], ["--threshold", "5"],
+                                   ["--k", "0", "--threshold", "5"],
+                                   ["--k", "2", "--threshold", "0"]])
+def test_exit_code_2_on_bad_pk_threshold(capsys, command, flags):
+    """A missing or invalid --k/--threshold is a usage error: one line, exit 2."""
+    code = cli.main(command + ["--filter", "pk-threshold"] + flags)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("sigmalab: ")
+
+
+@pytest.mark.parametrize("x, q, k, threshold", [
+    (20_000, 101, None, None),
+    (30_000, 1009, 2, 100),
+    (50, 1000, 4, 1000),  # every class empty
+    (100, 1, None, None),
+])
+def test_census_json_is_json_dumps_of_plain_dict(tmp_path, x, q, k, threshold):
+    """The array-written counts block lays out exactly as json.dumps would,
+    including string order of the keys ("10" before "2")."""
+    f = sigmalab.CensusFilter("all" if k is None else "pk-threshold", k, threshold)
+    flags = [] if k is None else ["--filter", "pk-threshold", "--k", str(k),
+                                  "--threshold", str(threshold)]
+    code, raw = run(tmp_path, "census", "--x", str(x), "--q", str(q), *flags)
+    assert code == 0
+    doc = json.loads(raw)
+    assert raw.decode("utf-8") == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    report = sigmalab.census(x, sigmalab.build_modulus(q), f)
+    assert doc["counts"] == {str(a): c for a, c in report.counts.items()}
+
+
+def test_output_splices_int_map(tmp_path):
+    """An _IntMap among other payload keys, empty or not, gives the bytes of
+    json.dumps over the equivalent dict."""
+    args = argparse.Namespace(format="json", output=str(tmp_path / "m.json"))
+    keys = np.array([7, 10, 2, 100], np.int64)
+    for n in (0, 4):
+        cli._Output(args, "test").write(
+            {"a": 1, "counts": cli._IntMap(keys[:n], keys[:n] * 3), "z": None},
+            [], [], "")
+        want = {"tool": "sigmalab", "version": sigmalab.__version__,
+                "command": "test", "config": {"format": "json"}, "a": 1,
+                "counts": {str(k): 3 * k for k in keys[:n].tolist()}, "z": None}
+        assert (tmp_path / "m.json").read_text() == json.dumps(
+            want, sort_keys=True, indent=2) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(0, 10**17), st.integers(0, 2**62), max_size=40))
+def test_int_map_matches_json_dumps(mapping):
+    """Keys of every digit count lay out in json.dumps's string order."""
+    buf = io.StringIO()
+    cli._IntMap(np.array(list(mapping), np.int64),
+                np.array(list(mapping.values()), np.int64)).write_json(buf)
+    want = json.dumps({"m": {str(k): v for k, v in mapping.items()}},
+                      sort_keys=True, indent=2)
+    assert "{\n  \"m\": " + buf.getvalue() + "\n}" == want
+
+
+def test_census_csv_bytes_pinned(tmp_path):
+    """Pinned bytes: share and deviation floats in repr form, blanks for an
+    empty census, CRLF line ends."""
+    v = sigmalab.__version__
+    _, raw = run(tmp_path, "census", "--x", "200", "--q", "7", "--format", "csv")
+    assert raw == (
+        f"# sigmalab {v} census: classes of sigma(n) mod 7 among units, n <= 200, "
+        "filter all [filter=all format=csv q=7 x=200]\r\n"
+        "class,count,share,rel_deviation\r\n"
+        "1,21,0.14093959731543623,-0.15436241610738255\r\n"
+        "2,21,0.14093959731543623,-0.15436241610738255\r\n"
+        "3,30,0.20134228187919462,0.20805369127516782\r\n"
+        "4,28,0.18791946308724833,0.12751677852348986\r\n"
+        "5,23,0.15436241610738255,-0.0738255033557047\r\n"
+        "6,26,0.174496644295302,0.046979865771812124\r\n").encode()
+    _, raw = run(tmp_path, "census", "--x", "60", "--q", "10", "--filter",
+                 "pk-threshold", "--k", "4", "--threshold", "1000", "--format", "csv")
+    assert raw == (
+        f"# sigmalab {v} census: classes of sigma(n) mod 10 among units, n <= 60, "
+        "filter P_4(n) > 1000 [filter=pk-threshold format=csv k=4 q=10 "
+        "threshold=1000 x=60]\r\n"
+        "class,count,share,rel_deviation\r\n"
+        "1,0,,\r\n3,0,,\r\n7,0,,\r\n9,0,,\r\n").encode()

@@ -128,6 +128,18 @@ def test_counts_invariant_under_segmenting(sieve_small):
                                20_000, 13, sieve_small)
 
 
+def test_counts_identical_across_segments_and_workers(sieve_small):
+    """Equal ints for workers {1, 2, 8} x segment lengths {default, 997, 9973}."""
+    x = sieve_small.limit
+    smooth = psi_smooth_count(x, 19, sieve_small)
+    rough = rough_count(x, 13, sieve_small)
+    for seg in (None, 997, 9973):
+        for workers in (1, 2, 8):
+            got = (psi_smooth_count(x, 19, sieve_small, segment_length=seg, workers=workers),
+                   rough_count(x, 13, sieve_small, segment_length=seg, workers=workers))
+            assert got == (smooth, rough) and all(type(v) is int for v in got), (seg, workers)
+
+
 def test_two_adic_square_form_exhaustive(sieve_small):
     """n = 2^k m^2 with m odd exists iff the odd part of n is a square."""
     for n in range(1, 10_001):

@@ -128,6 +128,15 @@ def test_histogram_invariant_under_workers(sieve_small):
     assert np.array_equal(base, again)
 
 
+def test_histogram_bytes_independent_of_segments_and_workers():
+    """Byte-identical for workers {1, 2, 8} x segment lengths {default, 997, 9973}."""
+    base = rough_omega_histogram(200_000, 7).tobytes()
+    for seg in (None, 997, 9973):
+        for workers in (1, 2, 8):
+            got = rough_omega_histogram(200_000, 7, segment_length=seg, workers=workers)
+            assert got.tobytes() == base, (seg, workers)
+
+
 def test_twisted_sum_tiny_closed_form(sieve_small):
     """x = 10, y = 2: the 2-rough n are 1, 3, 5, 7, 9 so the generating
     polynomial in beta is 1 + 3 beta + beta^2."""
