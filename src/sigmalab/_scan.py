@@ -1,9 +1,163 @@
-"""Deterministic segment-parallel scans over integer ranges."""
+"""Deterministic segment-parallel scans over integer ranges, and the one
+segment kernel, scan_segment, that every scan runs.
+
+Range: the kernel's int64 values are n ≤ x, n + 1, the found part of n
+(a divisor of n) and products of residues mod q, which stay below q²,
+or below (q − 1)^ω(n) where the per-prime reductions are skipped.  So
+every value fits when x ≤ MAX_SCAN_X and q ≤ MAX_SCAN_Q, and
+check_scan_range refuses the rest before any table is built.
+"""
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable
+from typing import Callable, NamedTuple, Optional
+
+import numpy as np
+
+from .errors import OutOfRangeError
+
+_INT64_MAX = 2**63 - 1
+MAX_SCAN_X = _INT64_MAX - 1
+MAX_SCAN_Q = math.isqrt(_INT64_MAX)
+# Their product exceeds 2^63, so they bound ω(n) for every int64 n.
+_FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+
+
+def check_scan_range(x: int, q: int = 1, sieve=None) -> None:
+    """Raise OutOfRangeError unless x ≤ MAX_SCAN_X, q ≤ MAX_SCAN_Q and a
+    given FactorSieve reaches x."""
+    if sieve is not None and x > sieve.limit:
+        raise OutOfRangeError(f"x = {x} exceeds sieve limit {sieve.limit}")
+    if x > MAX_SCAN_X:
+        raise OutOfRangeError(f"x = {x} exceeds {MAX_SCAN_X}: n + 1 must fit in int64")
+    if q > MAX_SCAN_Q:
+        raise OutOfRangeError(f"q = {q} exceeds {MAX_SCAN_Q}: q^2 must fit in int64")
+
+
+def primes_up_to(limit: int, sieve=None) -> np.ndarray:
+    """All primes ≤ limit as an ascending int64 array: from the FactorSieve
+    when one covering limit is given, else from a plain bool-array sieve."""
+    if sieve is not None and sieve.limit >= limit:
+        return sieve.primes_up_to(limit)
+    if limit < 2:
+        return np.zeros(0, dtype=np.int64)
+    composite = np.zeros(limit + 1, dtype=bool)
+    composite[:2] = True
+    for p in range(2, math.isqrt(limit) + 1):
+        if not composite[p]:
+            composite[p * p :: p] = True
+    return np.flatnonzero(~composite).astype(np.int64)
+
+
+class Segment(NamedTuple):
+    """scan_segment's arrays over lo ≤ n < hi; one not asked for is None."""
+
+    sigma: Optional[np.ndarray]
+    large: Optional[np.ndarray]
+    rough: Optional[np.ndarray]
+    cofactor: np.ndarray
+
+
+def _reduce(a: np.ndarray, q: int, tmp: np.ndarray) -> None:
+    """a %= q in place, as a − (a // q)·q: numpy divides a contiguous
+    array by a scalar several times faster than it takes the remainder."""
+    np.floor_divide(a, q, out=tmp)
+    tmp *= q
+    a -= tmp
+
+
+def scan_segment(
+    lo: int,
+    hi: int,
+    primes: np.ndarray,
+    *,
+    q: Optional[int] = None,
+    above: Optional[float] = None,
+    rough: Optional[float] = None,
+) -> Segment:
+    """One walk of the ascending primes ≤ √(hi − 1) over lo ≤ n < hi, lo ≥ 1.
+
+    Returns int64 σ(n) mod q if q is given; the int8 number of prime
+    factors > above, with multiplicity, if above is; y-roughness if
+    rough = y is, in which case the primes ≤ y only mark n and are not
+    divided out, so the other arrays hold where n is rough; and always
+    the cofactor, n over its part on the primes divided out.  σ and the
+    count need every prime ≤ √(hi − 1), and then the cofactor is 1 or a
+    prime; a cofactor alone may use fewer (the primes ≤ z of a smooth
+    count).
+
+    Each prime touches basic strided views only: its multiples, and
+    inside them the multiples of p², p³, ... (nested strides).  The
+    found part acc = ∏ p^e is built in place and divided into n once at
+    the end; σ(p^e) mod q comes from one factor buffer per prime, filled
+    with σ(p) and overwritten at the deeper multiples.  The leftover
+    prime P adds σ(P) = P + 1 in one pass.  Cache-sized segments with
+    strided marking follow T. Oliveira e Silva's segmented sieve and
+    primesieve.
+    """
+    size = hi - lo
+    top = hi - 1
+    walk = primes[: np.searchsorted(primes, math.isqrt(top), side="right")]
+    alive = None
+    if rough is not None:
+        cut = int(np.searchsorted(walk, math.floor(rough), side="right"))
+        alive = np.ones(size, dtype=bool)
+        for p in walk[:cut].tolist():
+            alive[-lo % p :: p] = False
+        walk = walk[cut:]
+    large = None if above is None else np.zeros(size, dtype=np.int8)
+    sig = None
+    if q is not None:
+        sig = np.full(size, 1 % q, dtype=np.int64)
+        buf = np.empty(size, dtype=np.int64)
+        omega_max = sum(math.prod(_FIRST_PRIMES[:k]) <= top for k in range(1, 17))
+        reduce_each = (q - 1) ** omega_max > _INT64_MAX
+    rem = np.arange(lo, hi, dtype=np.int64)
+    acc = np.ones(size, dtype=np.int64) if walk.size or q is not None else None
+    for p in walk.tolist():
+        s = -lo % p
+        if s >= size:
+            continue
+        strides = [(s, p)]
+        pj = p * p
+        while pj <= top and -lo % pj < size:
+            strides.append((-lo % pj, pj))
+            pj *= p
+        for sj, pj in strides:
+            acc[sj::pj] *= p
+        if large is not None and p > above:
+            for sj, pj in strides:
+                large[sj::pj] += 1
+        if sig is not None:
+            # σ(p^e) mod q by Horner, written at the multiples of p^e.
+            c = (1 + p) % q
+            view = sig[s::p]
+            if len(strides) == 1:
+                view *= c
+            else:
+                fac = buf[: view.shape[0]]
+                fac.fill(c)
+                for sj, pj in strides[1:]:
+                    c = (c * p + 1) % q
+                    fac[(sj - s) // p :: pj // p] = c
+                view *= fac
+            if reduce_each:
+                view %= q
+    if walk.size:
+        np.floor_divide(rem, acc, out=rem)
+    if sig is not None:
+        # The leftover prime P contributes σ(P) = P + 1; rem = 1 contributes 1.
+        np.add(rem, rem > 1, out=buf)
+        _reduce(buf, q, acc)
+        sig *= buf
+        _reduce(sig, q, acc)
+    if large is not None:
+        large += rem > max(above, 1)
+    if alive is not None:
+        alive &= (rem == 1) | (rem > rough)
+    return Segment(sig, large, alive, rem)
 
 
 def segment_bounds(start: int, stop: int, segment_length: int) -> list[tuple[int, int]]:

@@ -2,10 +2,10 @@
 
 The core question: among n ≤ x whose divisor sum σ(n) is coprime to q,
 how evenly do the values σ(n) mod q spread over the unit classes?  The
-engine here streams [1, x] in fixed-length segments, reconstructing
-σ(n) mod q for a whole segment at once from prime-power marking (no
-per-n factorization, no big integers), so desk-scale x = 10⁷..10⁸ runs
-in seconds.
+engine streams [1, x] in fixed-length segments through the one segment
+kernel, _scan.scan_segment, which builds σ(n) mod q and the large-factor
+counts for a whole segment from strided prime-power marking (no per-n
+factorization, no big integers): x = 10⁷ takes about half a second.
 
 Filters restrict which n enter the census:
 
@@ -21,11 +21,13 @@ control it through orthogonality, the prime reciprocal sums
 equidistribution exponent, a discrepancy statistic, and the main-term
 shapes x/(log x)^{1−α} and √x/(log x)^{1−α̃} for coprime-σ counts.
 
-All counting is exact 64-bit integer arithmetic.  Each segment's class
-bincount is added into one shared total under a lock and then dropped;
-integer addition is exact in any order, so outputs are identical for any
-worker count and segment length, and a census holds O(workers·(segment
-+ q)) memory however many segments it scans.
+All counting is exact 64-bit integer arithmetic, for x ≤ 2⁶³ − 2 and
+q ≤ 3.04·10⁹; larger inputs raise OutOfRangeError before any table is
+built.  Each segment's class bincount is added into one shared total
+under a lock and then dropped; integer addition is exact in any order,
+so outputs are identical for any worker count and segment length, and a
+census holds O(workers·(segment + q)) memory however many segments it
+scans.
 """
 
 from __future__ import annotations
@@ -38,12 +40,11 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from ._scan import map_segments, segment_bounds
+from ._scan import check_scan_range, map_segments, primes_up_to, scan_segment, segment_bounds
 from .characters import DirichletCharacter, Modulus
 from .charsums import PolynomialSpec
 from .errors import DegenerateCensusError, OutOfRangeError, UnsupportedModulusError
 from .factor import DEFAULT_SEGMENT_LENGTH, FactorSieve
-from .lsd import _primes_up_to
 
 __all__ = [
     "CensusFilter",
@@ -152,59 +153,6 @@ class CensusReport:
     exponent_used: str
 
 
-def _segment_sigma_stats(
-    lo: int,
-    hi: int,
-    q: int,
-    primes: np.ndarray,
-    threshold: Optional[int],
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """σ(n) mod q for lo ≤ n < hi, plus (optionally) the number of
-    prime factors of n exceeding threshold, with multiplicity.
-
-    Works entirely from primes ≤ sqrt(hi−1): marking passes recover
-    each prime's exact exponent via nested stride slices, the
-    geometric sums σ(p^e) = (p^{e+1}−1)/(p−1) are computed exactly in
-    int64 (p^{e+1} ≤ p·n stays below 2^63 for any n below ~3·10^12),
-    and whatever remains of n after division is either 1 or a single
-    prime > sqrt(hi−1).
-    """
-    size = hi - lo
-    rem = np.arange(lo, hi, dtype=np.int64)
-    sig = np.full(size, 1 % q, dtype=np.int64)
-    cnt = np.zeros(size, dtype=np.int64) if threshold is not None else None
-    if lo == 0:
-        rem[0] = 1
-    top = hi - 1
-    for p in primes:
-        p = int(p)
-        if p * p > top:
-            break
-        first = ((lo + p - 1) // p) * p
-        if first > top:
-            continue
-        idx = np.arange(first - lo, size, p)
-        e = np.ones(idx.shape[0], dtype=np.int64)
-        pj = p * p
-        while pj <= top:
-            firstj = ((lo + pj - 1) // pj) * pj
-            if firstj <= top:
-                e[(firstj - first) // p :: pj // p] += 1
-            pj *= p
-        p_pow = np.power(p, e)
-        sigma_pe = (p_pow * p - 1) // (p - 1) % q
-        sig[idx] = sig[idx] * sigma_pe % q
-        rem[idx] //= p_pow
-        if cnt is not None and p > threshold:
-            cnt[idx] += e
-    leftover = rem > 1
-    if leftover.any():
-        sig[leftover] = sig[leftover] * ((1 + rem[leftover]) % q) % q
-    if cnt is not None:
-        cnt += leftover & (rem > threshold)
-    return sig, cnt
-
-
 def iter_sigma_segments(
     x: int,
     q: int,
@@ -226,13 +174,13 @@ def iter_sigma_segments(
         raise OutOfRangeError(f"x must be >= 1, got {x}")
     if q < 1:
         raise ValueError(f"modulus must be >= 1, got {q}")
-    if sieve is not None and x > sieve.limit:
-        raise OutOfRangeError(f"x = {x} exceeds sieve limit {sieve.limit}")
-    primes = _primes_up_to(math.isqrt(x), sieve)
+    check_scan_range(x, q, sieve)
+    primes = primes_up_to(math.isqrt(x))
     seg_len = segment_length or DEFAULT_SEGMENT_LENGTH
     for lo, hi in segment_bounds(1, x + 1, seg_len):
-        sig, cnt = _segment_sigma_stats(lo, hi, q, primes, threshold)
-        yield lo, hi, sig, cnt
+        seg = scan_segment(lo, hi, primes, q=q, above=threshold)
+        cnt = None if threshold is None else seg.large.astype(np.int64)
+        yield lo, hi, seg.sigma, cnt
 
 
 def _class_totals(
@@ -252,10 +200,9 @@ def _class_totals(
     workers."""
     if x < 1:
         raise OutOfRangeError(f"x must be >= 1, got {x}")
-    if sieve is not None and x > sieve.limit:
-        raise OutOfRangeError(f"x = {x} exceeds sieve limit {sieve.limit}")
     q = m.q
-    primes = _primes_up_to(math.isqrt(x), sieve)
+    check_scan_range(x, q, sieve)
+    primes = primes_up_to(math.isqrt(x))
     seg_len = segment_length or DEFAULT_SEGMENT_LENGTH
     threshold = f.threshold if f.kind == "pk-threshold" else None
 
@@ -263,11 +210,12 @@ def _class_totals(
     fold = threading.Lock()
 
     def one_segment(lo: int, hi: int) -> None:
-        sig, cnt = _segment_sigma_stats(lo, hi, q, primes, threshold)
+        seg = scan_segment(lo, hi, primes, q=q, above=threshold)
+        sig = seg.sigma
         if f.kind == "coprime-only":
             sig = sig[np.gcd(np.arange(lo, hi, dtype=np.int64), q) == 1]
         elif f.kind == "pk-threshold":
-            sig = sig[cnt >= f.k]
+            sig = sig[seg.large >= f.k]
         part = np.bincount(sig, minlength=q)
         with fold:
             np.add(totals, part, out=totals)
@@ -371,9 +319,8 @@ def prime_reciprocal_sum(
     x = int(x)
     if x < 2:
         raise OutOfRangeError(f"x must be >= 2, got {x}")
-    if sieve is not None and x > sieve.limit:
-        raise OutOfRangeError(f"x = {x} exceeds sieve limit {sieve.limit}")
-    primes = _primes_up_to(x, sieve)
+    check_scan_range(x, sieve=sieve)
+    primes = primes_up_to(x, sieve)
     q = m.q
     total = 0.0
     for start in range(0, primes.shape[0], chunk):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._scan import map_segments, segment_bounds
+from ._scan import check_scan_range, map_segments, primes_up_to, scan_segment, segment_bounds
 from .errors import OutOfRangeError, ResourceBudgetError
 
 DEFAULT_SEGMENT_LENGTH = 1 << 20
@@ -129,21 +129,6 @@ def odd_part_is_square_array(n: np.ndarray) -> np.ndarray:
     return r * r == odd
 
 
-def _simple_spf(limit: int) -> np.ndarray:
-    """Dense smallest-prime-factor table for 0..limit (small limits only)."""
-    spf = np.zeros(limit + 1, dtype=np.uint32)
-    for i in range(2, math.isqrt(limit) + 1):
-        if spf[i] == 0:
-            view = spf[i * i :: i]
-            view[view == 0] = i
-    rest = np.flatnonzero(spf == 0)
-    rest = rest[rest >= 2]
-    spf[rest] = rest
-    if limit >= 1:
-        spf[1] = 1
-    return spf
-
-
 class FactorSieve:
     """Smallest-prime-factor table for 2..limit, built in segments.
 
@@ -166,8 +151,7 @@ class FactorSieve:
         self.limit = int(limit)
         self.segment_length = int(segment_length)
         root = math.isqrt(self.limit)
-        base = _simple_spf(root)
-        base_primes = np.flatnonzero(base[2:] == np.arange(2, root + 1, dtype=np.uint32)) + 2
+        base_primes = primes_up_to(root)
         spf = np.zeros(self.limit + 1, dtype=np.uint32)
         for lo, hi in segment_bounds(2, self.limit + 1, self.segment_length):
             for p in base_primes:
@@ -245,29 +229,15 @@ def psi_smooth_count(x: int, z: float, sieve: FactorSieve,
         raise ValueError("x must be >= 1")
     if z < 2:
         raise ValueError("z must be >= 2")
-    if x > sieve.limit:
-        raise OutOfRangeError(f"x={x} exceeds sieve limit {sieve.limit}")
+    check_scan_range(x, sieve=sieve)
     seg_len = segment_length or sieve.segment_length
     zf = math.floor(z)
-    bound = min(zf, math.isqrt(x))
-    ps = [int(p) for p in sieve.primes_up_to(bound)]
+    ps = primes_up_to(min(zf, math.isqrt(x)))
 
     def one_segment(lo: int, hi: int) -> int:
-        rem = np.arange(lo, hi, dtype=np.int64)
-        for p in ps:
-            start = ((lo + p - 1) // p) * p
-            if start >= hi:
-                continue
-            sl = rem[start - lo :: p]
-            sl //= p
-            idx = np.flatnonzero(sl % p == 0)
-            while idx.size:
-                sl[idx] //= p
-                idx = idx[sl[idx] % p == 0]
-        return int(np.count_nonzero(rem <= zf))
+        return int(np.count_nonzero(scan_segment(lo, hi, ps).cofactor <= zf))
 
-    parts = map_segments(1, x + 1, seg_len, one_segment, workers)
-    return sum(parts)
+    return sum(map_segments(1, x + 1, seg_len, one_segment, workers))
 
 
 def rough_count(x: int, y: float, sieve: FactorSieve,
@@ -277,21 +247,12 @@ def rough_count(x: int, y: float, sieve: FactorSieve,
         raise ValueError("x must be >= 1")
     if y < 1:
         raise ValueError("y must be >= 1")
-    if x > sieve.limit:
-        raise OutOfRangeError(f"x={x} exceeds sieve limit {sieve.limit}")
+    check_scan_range(x, sieve=sieve)
     seg_len = segment_length or sieve.segment_length
     yf = math.floor(y)
-    ps = [int(p) for p in sieve.primes_up_to(min(yf, math.isqrt(x)))]
+    ps = primes_up_to(min(yf, math.isqrt(x)))
 
     def one_segment(lo: int, hi: int) -> int:
-        alive = np.ones(hi - lo, dtype=bool)
-        for p in ps:
-            start = ((lo + p - 1) // p) * p
-            if start < hi:
-                alive[start - lo :: p] = False
-        n = np.arange(lo, hi, dtype=np.int64)
-        alive &= (n == 1) | (n > yf)
-        return int(np.count_nonzero(alive))
+        return int(np.count_nonzero(scan_segment(lo, hi, ps, rough=yf).rough))
 
-    parts = map_segments(1, x + 1, seg_len, one_segment, workers)
-    return sum(parts)
+    return sum(map_segments(1, x + 1, seg_len, one_segment, workers))

@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._scan import map_segments
+from ._scan import check_scan_range, map_segments, primes_up_to, scan_segment
 from .errors import GammaPoleError, OutOfRangeError
 from .factor import DEFAULT_SEGMENT_LENGTH, FactorSieve
 
@@ -131,67 +131,6 @@ class TwistedSumResult:
     ratio: Optional[complex]
 
 
-def _simple_primes(limit: int) -> np.ndarray:
-    """All primes ≤ limit as an int64 array (plain bool-array sieve)."""
-    if limit < 2:
-        return np.zeros(0, dtype=np.int64)
-    composite = np.zeros(limit + 1, dtype=bool)
-    composite[:2] = True
-    for p in range(2, math.isqrt(limit) + 1):
-        if not composite[p]:
-            composite[p * p :: p] = True
-    return np.flatnonzero(~composite).astype(np.int64)
-
-
-def _primes_up_to(limit: int, sieve: Optional[FactorSieve]) -> np.ndarray:
-    if sieve is not None and sieve.limit >= limit:
-        return sieve.primes_up_to(limit)
-    return _simple_primes(limit)
-
-
-def _rough_segment_histogram(
-    lo: int, hi: int, y: float, primes: np.ndarray
-) -> np.ndarray:
-    """Histogram over k of #{lo ≤ n < hi : n is y-rough, Ω(n) = k}.
-
-    Primes p ≤ y only stamp out roughness (no division needed: the
-    factor's multiplicity is irrelevant once n is disqualified).
-    Primes y < p ≤ sqrt(hi−1) are divided out with multiplicity.  A
-    leftover rem > 1 is prime; it disqualifies n when rem ≤ y and
-    contributes one more factor when rem > y.
-    """
-    size = hi - lo
-    rem = np.arange(lo, hi, dtype=np.int64)
-    rough = np.ones(size, dtype=bool)
-    omega = np.zeros(size, dtype=np.int64)
-    if lo == 0:
-        rough[0] = False
-        rem[0] = 1
-    top = hi - 1
-    for p in primes:
-        p = int(p)
-        if p * p > top:
-            break
-        first = ((lo + p - 1) // p) * p
-        idx = np.arange(first - lo, size, p)
-        if p <= y:
-            rough[idx] = False
-            continue
-        sub = rem[idx]
-        osub = omega[idx]
-        mask = (sub % p) == 0
-        while mask.any():
-            sub[mask] //= p
-            osub[mask] += 1
-            mask &= (sub % p) == 0
-        rem[idx] = sub
-        omega[idx] = osub
-    big_leftover = rem > y
-    omega += big_leftover
-    rough &= (rem == 1) | big_leftover
-    return np.bincount(omega[rough], minlength=_OMEGA_WIDTH).astype(np.int64)
-
-
 def rough_omega_histogram(
     x: int,
     y: float,
@@ -214,22 +153,17 @@ def rough_omega_histogram(
         raise OutOfRangeError(f"range end must satisfy x >= 1, got {x}")
     if y < 2:
         raise OutOfRangeError(f"roughness cut must satisfy y >= 2, got {y}")
-    if sieve is not None and x > sieve.limit:
-        raise OutOfRangeError(f"x = {x} exceeds sieve limit {sieve.limit}")
-    primes = _primes_up_to(math.isqrt(x), sieve)
-    if segment_length is None:
-        segment_length = DEFAULT_SEGMENT_LENGTH
-    parts = map_segments(
-        1,
-        x + 1,
-        segment_length,
-        lambda lo, hi: _rough_segment_histogram(lo, hi, y, primes),
-        workers=workers,
-    )
-    total = np.zeros(_OMEGA_WIDTH, dtype=np.int64)
-    for part in parts:
-        total += part
-    return total
+    check_scan_range(x, sieve=sieve)
+    primes = primes_up_to(math.isqrt(x))
+
+    def one_segment(lo: int, hi: int) -> np.ndarray:
+        # For y-rough n every prime factor exceeds y, so the count above y is Ω(n).
+        seg = scan_segment(lo, hi, primes, above=y, rough=y)
+        return np.bincount(seg.large[seg.rough], minlength=_OMEGA_WIDTH)
+
+    seg_len = segment_length or DEFAULT_SEGMENT_LENGTH
+    parts = map_segments(1, x + 1, seg_len, one_segment, workers=workers)
+    return np.sum(parts, axis=0, dtype=np.int64)
 
 
 def exact_twisted_sum(
@@ -391,7 +325,7 @@ def g_one_euler_product(
         raise OutOfRangeError(f"cut must satisfy y >= 2, got {y}")
     if p_max < y:
         raise OutOfRangeError(f"truncation p_max = {p_max} must reach the cut y = {y}")
-    primes = _primes_up_to(p_max, sieve).astype(np.float64)
+    primes = primes_up_to(p_max, sieve).astype(np.float64)
     head = primes[primes <= y]
     log_total = beta * float(np.sum(np.log1p(-1.0 / head)))
     if beta != 1.0:

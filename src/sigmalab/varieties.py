@@ -31,11 +31,11 @@ from typing import Optional
 
 import numpy as np
 
+from ._scan import check_scan_range, primes_up_to
 from .characters import Modulus, _crt_pair, build_modulus, trial_factorization
 from .census import CensusFilter, census
 from .errors import OutOfRangeError, ResourceBudgetError
 from .factor import DEFAULT_SEGMENT_LENGTH, Factorization, FactorSieve, sigma_mod
-from .lsd import _primes_up_to
 
 __all__ = [
     "SolutionCount",
@@ -267,7 +267,7 @@ class OverrepWitnessReport:
 
 
 def _witness_primes(y: int) -> list[int]:
-    ells = [int(p) for p in _primes_up_to(int(y), None) if p >= 5]
+    ells = [int(p) for p in primes_up_to(int(y)) if p >= 5]
     if not ells:
         raise OutOfRangeError(f"witness cut y = {y} admits no primes in [5, y]")
     return ells
@@ -294,6 +294,7 @@ def overrep_witness_even(
     y = int(y)
     if x < 4:
         raise OutOfRangeError(f"x must be >= 4, got {x}")
+    check_scan_range(x)
     ells = _witness_primes(y)
     q = 2
     for ell in ells:
@@ -311,7 +312,7 @@ def overrep_witness_even(
 
     # Prime windows by exact integer power comparisons.
     root = math.isqrt(x)
-    all_primes = [int(p) for p in _primes_up_to(root, sieve)]
+    all_primes = [int(p) for p in primes_up_to(root)]
     p2_list = [p for p in all_primes if p**10 > x and p**6 <= x]
     crt_count = 0
     direct_count = 0
@@ -411,6 +412,7 @@ def overrep_witness_sqfree(
     y = int(y)
     if x < 4:
         raise OutOfRangeError(f"x must be >= 4, got {x}")
+    check_scan_range(x)
     ells = _witness_primes(y)
     q = 2
     for ell in ells:
@@ -419,7 +421,7 @@ def overrep_witness_sqfree(
             raise ResourceBudgetError(f"witness modulus for y = {y} exceeds 64 bits")
 
     root = math.isqrt(x)
-    primes = [int(p) for p in _primes_up_to(root, sieve)]
+    primes = [int(p) for p in primes_up_to(root)]
     crt_count = 0
     direct_count = 0
     for p in primes:

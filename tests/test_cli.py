@@ -285,3 +285,18 @@ def test_census_csv_bytes_pinned(tmp_path):
         "threshold=1000 x=60]\r\n"
         "class,count,share,rel_deviation\r\n"
         "1,0,,\r\n3,0,,\r\n7,0,,\r\n9,0,,\r\n").encode()
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--x", "1e19", "--q", "5"],
+    ["census", "--x", "1e20", "--q", "5"],
+    ["twisted-sum", "--x", "1e20", "--q", "5", "--index", "1"],
+    ["lsd-scan", "--beta", "0.5", "--Y", "7", "--x-grid", "1000,1e19"],
+    ["witness-sqfree", "--Y", "7", "--x", "1e19"],
+])
+def test_exit_code_2_beyond_int64_range(capsys, argv):
+    """x whose integers do not fit in int64: one line and exit 2, before any
+    prime table is allocated."""
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("sigmalab: ")

@@ -1,0 +1,182 @@
+"""The one segment kernel, scan_segment, against oracles that never call it:
+FactorSieve.factorize + sigma_mod + kth_largest_prime_factor below 10^6, a
+segmented trial division in Python integers near 10^12 and at the top of
+the int64 range, and brute force for the rough Omega-histogram.  Also the
+int64 range guard of every scan entry point."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sigmalab import (
+    CensusFilter,
+    Factorization,
+    OutOfRangeError,
+    build_modulus,
+    census,
+    iter_sigma_segments,
+    kth_largest_prime_factor,
+    overrep_witness_even,
+    overrep_witness_sqfree,
+    rough_omega_histogram,
+    sigma_mod,
+    twisted_partial_sum,
+)
+from sigmalab._scan import MAX_SCAN_Q, MAX_SCAN_X, primes_up_to, scan_segment
+
+SETTINGS = settings(max_examples=40, deadline=None)
+thresholds = st.one_of(st.none(), st.integers(1, 2_000))
+
+
+@pytest.fixture(scope="module")
+def primes_million(sieve_million):
+    return sieve_million.primes()
+
+
+@pytest.fixture(scope="module")
+def omega_and_spf(sieve_million):
+    """Omega(n) and the least prime factor for 0 <= n <= 30 000 (1 at n <= 1)."""
+    facts = [Factorization(())] + [sieve_million.factorize(n) for n in range(1, 30_001)]
+    omega = np.array([f.num_prime_factors for f in facts])
+    spf = np.array([f.smallest_prime_factor for f in facts])
+    return omega, spf
+
+
+def trial_factorizations(lo: int, hi: int, primes: np.ndarray) -> list[Factorization]:
+    """Factorizations of lo..hi-1 by dividing out each prime at its
+    multiples, in Python integers; primes must reach sqrt(hi - 1)."""
+    rest = list(range(lo, hi))
+    found = [[] for _ in rest]
+    for p in primes.tolist():
+        if p * p > hi - 1:
+            break
+        for i in range(-lo % p, hi - lo, p):
+            e = 0
+            while rest[i] % p == 0:
+                rest[i] //= p
+                e += 1
+            found[i].append((p, e))
+    for i, r in enumerate(rest):
+        if r > 1:
+            found[i].append((r, 1))
+    return [Factorization(tuple(f)) for f in found]
+
+
+def large_count(f: Factorization, t: int) -> int:
+    """Prime factors > t with multiplicity, read off P_k(n) > t."""
+    k = 0
+    while kth_largest_prime_factor(f, k + 1) > t:
+        k += 1
+    return k
+
+
+def check_sigma(seg, facts, hi, q, t):
+    """With every prime up to sqrt(hi - 1) walked, the cofactor is the one
+    prime factor above that root, or 1."""
+    root = math.isqrt(hi - 1)
+    assert seg.sigma.dtype == np.int64
+    assert seg.sigma.tolist() == [sigma_mod(f, q) for f in facts]
+    if t is not None:
+        assert seg.large.tolist() == [large_count(f, t) for f in facts]
+    assert seg.cofactor.tolist() == [
+        f.largest_prime_factor if f.largest_prime_factor > root else 1 for f in facts]
+
+
+@SETTINGS
+@given(lo=st.integers(1, 10**6 - 3_000), size=st.integers(1, 3_000),
+       q=st.integers(1, 10**7), t=thresholds)
+def test_sigma_and_large_counts_match_factorize(sieve_million, primes_million, lo, size, q, t):
+    hi = lo + size
+    seg = scan_segment(lo, hi, primes_million, q=q, above=t)
+    check_sigma(seg, [sieve_million.factorize(n) for n in range(lo, hi)], hi, q, t)
+
+
+@settings(max_examples=15, deadline=None)
+@given(offset=st.integers(-10**6, 10**6), size=st.integers(1, 400),
+       q=st.integers(1, 10**7), t=thresholds)
+def test_sigma_near_10_12_matches_trial_division(primes_million, offset, size, q, t):
+    lo = 10**12 + offset
+    hi = lo + size
+    seg = scan_segment(lo, hi, primes_million, q=q, above=t)
+    check_sigma(seg, trial_factorizations(lo, hi, primes_million), hi, q, t)
+
+
+@SETTINGS
+@given(lo=st.integers(1, 10**6 - 3_000), size=st.integers(1, 3_000),
+       y=st.floats(2, 1_500), z=st.integers(2, 2_000))
+def test_rough_omega_and_cofactor_match_factorize(sieve_million, primes_million, lo, size, y, z):
+    hi = lo + size
+    facts = [sieve_million.factorize(n) for n in range(lo, hi)]
+    seg = scan_segment(lo, hi, primes_million, above=y, rough=y)
+    rough = [f.smallest_prime_factor > y or f.n == 1 for f in facts]
+    assert seg.rough.tolist() == rough
+    omega = [f.num_prime_factors for f, r in zip(facts, rough) if r]
+    assert seg.large[seg.rough].tolist() == omega
+    smooth = scan_segment(lo, hi, primes_million[primes_million <= z]).cofactor
+    walked = min(z, math.isqrt(hi - 1))
+    assert smooth.tolist() == [
+        math.prod(p**e for p, e in f.factors if p > walked) for f in facts]
+
+
+@settings(max_examples=25, deadline=None)
+@given(x=st.integers(1, 30_000), y=st.floats(2, 300),
+       seg=st.sampled_from([None, 1, 97, 4_096]), workers=st.sampled_from([1, 3]))
+def test_rough_omega_histogram_matches_brute_force(omega_and_spf, x, y, seg, workers):
+    omega, spf = (a[: x + 1] for a in omega_and_spf)
+    n = np.arange(x + 1)
+    rough = (n == 1) | ((n > 1) & (spf > y))
+    want = np.bincount(omega[rough], minlength=64)
+    got = rough_omega_histogram(x, y, segment_length=seg, workers=workers)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_primes_up_to_matches_sieve(sieve_million):
+    for limit in (0, 1, 2, 3, 100, 7_919, 10**6):
+        assert np.array_equal(primes_up_to(limit), sieve_million.primes_up_to(limit))
+
+
+def test_top_of_int64_range_is_exact():
+    """One short segment ending at MAX_SCAN_X: the cofactor over the primes
+    below 1000 and sigma of the walked part times cofactor + 1 agree with
+    Python integers, so nothing wraps at n + 1."""
+    lo, hi = MAX_SCAN_X - 200, MAX_SCAN_X + 1
+    small = primes_up_to(1_000)
+    q = 999_983
+    seg = scan_segment(lo, hi, small, q=q)
+    for n, s, c in zip(range(lo, hi), seg.sigma.tolist(), seg.cofactor.tolist()):
+        rest, want = n, 1
+        for p in small.tolist():
+            g = 1
+            while rest % p == 0:
+                rest //= p
+                g = g * p + 1
+            want = want * g % q
+        assert c == rest
+        assert s == want * (rest + 1 if rest > 1 else 1) % q
+
+
+@pytest.mark.parametrize("x", [MAX_SCAN_X + 1, 10**19, 10**20])
+def test_scans_refuse_x_beyond_int64(x):
+    """Each entry point raises before it builds a prime table."""
+    m = build_modulus(5)
+    calls = [
+        lambda: census(x, m),
+        lambda: census(x, m, CensusFilter.pk_threshold(2, 10)),
+        lambda: twisted_partial_sum(x, m.character(1)),
+        lambda: next(iter_sigma_segments(x, 5)),
+        lambda: rough_omega_histogram(x, 7),
+        lambda: overrep_witness_sqfree(7, x),
+        lambda: overrep_witness_even(7, x),
+    ]
+    for call in calls:
+        with pytest.raises(OutOfRangeError):
+            call()
+
+
+def test_sigma_stream_refuses_q_beyond_int64_products():
+    with pytest.raises(OutOfRangeError):
+        next(iter_sigma_segments(100, MAX_SCAN_Q + 1))
+    _, _, sig, _ = next(iter_sigma_segments(100, MAX_SCAN_Q))
+    assert sig.tolist() == [sum(d for d in range(1, n + 1) if n % d == 0) for n in range(1, 101)]

@@ -290,3 +290,12 @@ def test_witness_validation():
         overrep_witness_even(4, 10**6)
     with pytest.raises(ResourceBudgetError):
         overrep_witness_even(23, 10**6)
+
+
+@pytest.mark.parametrize("witness", [overrep_witness_sqfree, overrep_witness_even])
+def test_witness_reports_independent_of_segments_and_workers(witness):
+    """Identical reports for workers {1, 2, 8} x segment lengths {default, 997, 9973}."""
+    base = witness(7, 150_000)
+    for seg in (None, 997, 9973):
+        for workers in (1, 2, 8):
+            assert witness(7, 150_000, segment_length=seg, workers=workers) == base, (seg, workers)
