@@ -95,6 +95,7 @@ from .lsd import (
 from .census import (
     CensusFilter,
     CensusReport,
+    ClassCounts,
     census,
     discrepancy,
     iter_sigma_segments,
@@ -186,6 +187,7 @@ __all__ = [
     # censuses
     "CensusFilter",
     "CensusReport",
+    "ClassCounts",
     "census",
     "discrepancy",
     "iter_sigma_segments",

@@ -23,17 +23,23 @@ shapes x/(log x)^{1−α} and √x/(log x)^{1−α̃} for coprime-σ counts.
 
 All counting is exact 64-bit integer arithmetic, for x ≤ 2⁶³ − 2 and
 q ≤ 3.04·10⁹; larger inputs raise OutOfRangeError before any table is
-built.  Each segment's class bincount is added into one shared total
-under a lock and then dropped; integer addition is exact in any order,
-so outputs are identical for any worker count and segment length, and a
-census holds O(workers·(segment + q)) memory however many segments it
-scans.
+built.  Each segment's classes are added into one shared int64 total
+under a lock: as a bincount when the segment admits at least q
+integers, else one increment per integer with np.add.at.  Integer addition is exact in
+any order, so outputs are identical for any worker count and segment
+length.  The unit classes are then compacted into the front of that
+total in place, and the report's counts are a read-only mapping over
+it, so a census holds about 8·q bytes of totals plus
+O(workers·segment), however many segments it scans and however large
+φ(q) is.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import threading
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -49,6 +55,7 @@ from .factor import DEFAULT_SEGMENT_LENGTH, FactorSieve
 __all__ = [
     "CensusFilter",
     "CensusReport",
+    "ClassCounts",
     "census",
     "twisted_partial_sum",
     "prime_reciprocal_sum",
@@ -60,9 +67,10 @@ __all__ = [
 ]
 
 _FILTER_KINDS = ("all", "coprime-only", "pk-threshold")
-# Classes per zip() when CensusReport.counts is built; one whole-array
-# zip would hold two φ(q)-long lists of Python ints at once.
-_DICT_CHUNK = 1 << 16
+# Classes per step when class arrays are copied, iterated or printed; one
+# whole-array step would hold φ(q)-long temporaries or lists at once.
+_CHUNK = 1 << 16
+_INT64_LIMIT = 1 << 63
 
 
 @dataclass(frozen=True)
@@ -128,11 +136,89 @@ def proof_threshold_z(x: int) -> float:
     return x ** (1.0 / math.log(math.log(x)))
 
 
+class ClassCounts(Mapping):
+    """Read-only mapping {unit class a: count} over two int64 arrays.
+
+    key_array holds the unit classes in ascending order and value_array
+    their counts; both are read-only.  Lookups are a binary search,
+    iteration walks the arrays in chunks, and no Python object is made
+    per class until one is asked for.  It compares equal to any Mapping
+    with the same items, and its repr is that of the equal dict.
+    dict(counts) looks every class up in turn; dict(counts.items())
+    walks the arrays and is several times faster.
+    """
+
+    __slots__ = ("key_array", "value_array")
+
+    def __init__(self, keys: np.ndarray, values: np.ndarray) -> None:
+        keys, values = keys.view(), values.view()
+        keys.flags.writeable = False
+        values.flags.writeable = False
+        self.key_array = keys
+        self.value_array = values
+
+    def __getitem__(self, key) -> int:
+        try:
+            k = operator.index(key)
+        except TypeError:
+            raise KeyError(key) from None
+        keys = self.key_array
+        if -_INT64_LIMIT <= k < _INT64_LIMIT:
+            i = keys.searchsorted(k)
+            if i < keys.shape[0] and keys.item(i) == k:
+                return self.value_array.item(i)
+        raise KeyError(key)
+
+    def __len__(self) -> int:
+        return self.key_array.shape[0]
+
+    def _chunks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for start in range(0, len(self), _CHUNK):
+            stop = start + _CHUNK
+            yield self.key_array[start:stop], self.value_array[start:stop]
+
+    def __iter__(self) -> Iterator[int]:
+        for keys, _ in self._chunks():
+            yield from keys.tolist()
+
+    def values(self) -> ValuesView:
+        return _ClassValues(self)
+
+    def items(self) -> ItemsView:
+        return _ClassItems(self)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, ClassCounts):
+            return (np.array_equal(self.key_array, other.key_array)
+                    and np.array_equal(self.value_array, other.value_array))
+        return super().__eq__(other)
+
+    def __repr__(self) -> str:
+        parts = []
+        for keys, values in self._chunks():
+            pairs = np.stack((keys, values), axis=1).ravel().tolist()
+            parts.append(", ".join(["%d: %d"] * keys.shape[0]) % tuple(pairs))
+        return "{" + ", ".join(parts) + "}"
+
+
+class _ClassValues(ValuesView):
+    def __iter__(self) -> Iterator[int]:
+        for _, values in self._mapping._chunks():
+            yield from values.tolist()
+
+
+class _ClassItems(ItemsView):
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        for keys, values in self._mapping._chunks():
+            yield from zip(keys.tolist(), values.tolist())
+
+
 @dataclass(frozen=True)
 class CensusReport:
     """Per-class counts of σ(n) mod q together with summary statistics.
 
-    counts maps each unit class a to #{filtered n ≤ x : σ(n) ≡ a},
+    counts, a read-only ClassCounts mapping over int64 arrays, maps each
+    unit class a to #{filtered n ≤ x : σ(n) ≡ a},
     total_coprime is their sum, mean the uniform share, and
     max_rel_deviation the worst relative departure from that share
     (NaN when the census is empty).  alpha and alpha_tilde are the
@@ -144,7 +230,7 @@ class CensusReport:
     x: int
     q: int
     filter: CensusFilter
-    counts: dict[int, int]
+    counts: ClassCounts
     total_coprime: int
     mean: float
     max_rel_deviation: float
@@ -166,8 +252,8 @@ def iter_sigma_segments(
     The σ array aligns with np.arange(lo, hi); the count array (number
     of prime factors > threshold, with multiplicity) is None unless a
     threshold was given.  Sequential by construction; the parallel
-    census path reduces segments to bincounts instead of exposing
-    them.
+    census path folds each segment into its class totals instead of
+    exposing it.
     """
     x = int(x)
     if x < 1:
@@ -183,6 +269,15 @@ def iter_sigma_segments(
         yield lo, hi, seg.sigma, cnt
 
 
+def _coprime_mask(lo: int, hi: int, m: Modulus) -> np.ndarray:
+    """Boolean array over lo..hi−1, true where gcd(n, q) = 1: the
+    multiples of each prime of q are struck out with one strided view."""
+    keep = np.ones(hi - lo, dtype=bool)
+    for ell, _ in m.factorization:
+        keep[-lo % ell :: ell] = False
+    return keep
+
+
 def _class_totals(
     x: int,
     m: Modulus,
@@ -194,10 +289,12 @@ def _class_totals(
     """int64 array over 0..q−1 of #{filtered n ≤ x : σ(n) ≡ a}, zero at
     non-units a.
 
-    Every segment adds its bincount into the one total under a lock, so
-    at most `workers` q-length parts are alive at a time.  The sum is
-    exact in any order, hence the same for any segment length and
-    workers."""
+    Every segment folds into the one total under a lock.  A segment that
+    admits fewer integers than q adds one per integer in place (np.add.at);
+    only a longer one builds a q-length bincount, so at most `workers`
+    such parts are alive at a time, and none when q exceeds the segment
+    length.  The sum is exact in any order, hence the same for any
+    segment length and workers."""
     if x < 1:
         raise OutOfRangeError(f"x must be >= 1, got {x}")
     q = m.q
@@ -213,21 +310,32 @@ def _class_totals(
         seg = scan_segment(lo, hi, primes, q=q, above=threshold)
         sig = seg.sigma
         if f.kind == "coprime-only":
-            sig = sig[np.gcd(np.arange(lo, hi, dtype=np.int64), q) == 1]
+            sig = sig[_coprime_mask(lo, hi, m)]
         elif f.kind == "pk-threshold":
             sig = sig[seg.large >= f.k]
+        if sig.shape[0] < q:
+            with fold:
+                np.add.at(totals, sig, 1)
+            return
         part = np.bincount(sig, minlength=q)
         with fold:
             np.add(totals, part, out=totals)
 
     map_segments(1, x + 1, seg_len, one_segment, workers)
-    totals[~m.unit_mask] = 0
+    for ell, _ in m.factorization:
+        totals[::ell] = 0
     return totals
 
 
 def _max_rel_deviation(counts: np.ndarray, total: int) -> float:
-    """max over classes of |count·φ(q)/total − 1|, counts over the φ(q) units."""
-    return float(np.max(np.abs(counts * counts.shape[0] / total - 1.0)))
+    """max over classes of |count·φ(q)/total − 1|, counts over the φ(q) units.
+
+    The int64 product, the correctly rounded division and the subtraction
+    are each monotone in the count, so the maximum is taken at the least
+    or the greatest count; evaluating only those two gives the same float
+    as the whole array would, without φ-long temporaries."""
+    ends = np.array([counts.min(), counts.max()])
+    return float(np.max(np.abs(ends * counts.shape[0] / total - 1.0)))
 
 
 def census(
@@ -243,20 +351,24 @@ def census(
 
     Only n with gcd(σ(n), q) = 1 are counted at all (σ values sharing
     a factor with q belong to no coprime class).  Deterministic for
-    any worker count and segment length: each segment's bincount is
-    added into one int64 total under a lock, an exact integer fold, so
-    memory stays O(workers·(segment + q)).
+    any worker count and segment length: each segment is added into one
+    int64 total under a lock, an exact integer fold.  The unit classes
+    are then moved to the front of that total in place, and the report's
+    counts read it there, so memory stays about 8·q bytes plus
+    O(workers·segment).
     """
     x = int(x)
     if f is None:
         f = CensusFilter.all_integers()
     q = m.q
     units = m.units
-    in_units = _class_totals(x, m, f, sieve, segment_length, workers)[units]
-    counts: dict[int, int] = {}
-    for start in range(0, units.shape[0], _DICT_CHUNK):
-        stop = start + _DICT_CHUNK
-        counts.update(zip(units[start:stop].tolist(), in_units[start:stop].tolist()))
+    totals = _class_totals(x, m, f, sieve, segment_length, workers)
+    # units[i] >= i, so each chunk reads only slots no earlier chunk wrote.
+    for start in range(0, m.phi, _CHUNK):
+        stop = min(start + _CHUNK, m.phi)
+        totals[start:stop] = totals[units[start:stop]]
+    in_units = totals[: m.phi]
+    counts = ClassCounts(units, in_units)
     total = int(in_units.sum())
     mean = total / m.phi
     max_rel = _max_rel_deviation(in_units, total) if total > 0 else float("nan")
@@ -342,8 +454,7 @@ def discrepancy(report: CensusReport) -> float:
         raise DegenerateCensusError(
             f"census of x = {report.x}, q = {report.q} has no coprime values"
         )
-    counts = np.fromiter(report.counts.values(), np.int64, len(report.counts))
-    return _max_rel_deviation(counts, report.total_coprime)
+    return _max_rel_deviation(report.counts.value_array, report.total_coprime)
 
 
 def rough_count_estimate(x: int, m: Modulus, which: Optional[str] = None) -> float:

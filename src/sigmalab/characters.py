@@ -290,7 +290,7 @@ class Modulus:
     @property
     def units(self) -> np.ndarray:
         if self._units is None:
-            self._units = np.flatnonzero(self.unit_mask).astype(np.int64)
+            self._units = np.flatnonzero(self.unit_mask).astype(np.int64, copy=False)
         return self._units
 
     def character_transform(self, w) -> np.ndarray:

@@ -299,13 +299,11 @@ def _cmd_census(args: argparse.Namespace) -> int:
     total = report.total_coprime
     disc = report.max_rel_deviation if total > 0 else None
     phi = len(report.counts)
-    classes = np.fromiter(report.counts.keys(), np.int64, phi)
-    counts = np.fromiter(report.counts.values(), np.int64, phi)
     payload = {
         "x": report.x,
         "q": report.q,
         "filter": {"kind": f.kind, "k": f.k, "threshold": f.threshold},
-        "counts": _IntMap(classes, counts),
+        "counts": _IntMap(report.counts.key_array, report.counts.value_array),
         "total": total,
         "mean": report.mean if total > 0 else None,
         "discrepancy": disc,

@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sigmalab import (
     CensusFilter,
@@ -26,7 +27,13 @@ from sigmalab import (
     twisted_partial_sum,
     PolynomialSpec,
 )
-from sigmalab.census import _class_totals
+from sigmalab.census import (
+    ClassCounts,
+    _class_totals,
+    _coprime_mask,
+    _max_rel_deviation,
+)
+from sigmalab.factor import DEFAULT_SEGMENT_LENGTH
 
 
 def divisor_sigma_table(limit: int) -> np.ndarray:
@@ -98,6 +105,100 @@ def test_class_totals_memory_bounded_by_workers():
         tracemalloc.stop()
     assert peak < (workers + 2) * 8 * q
     assert int(totals.sum()) == census(200_000, m).total_coprime
+
+
+def test_class_totals_sparse_fold_memory():
+    """When q exceeds the segment length every segment folds in place:
+    no q-length part is built at all, only the total itself."""
+    q = 1_000_003
+    m = build_modulus(q)
+    m.unit_mask  # build the lazy table before tracing
+    tracemalloc.start()
+    try:
+        _class_totals(200_000, m, CensusFilter.all_integers(), None,
+                      segment_length=4096, workers=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * q
+
+
+def _sequential_totals(x: int, m, seg: int) -> np.ndarray:
+    """One bincount of every sigma(n) mod q, n <= x, from the sequential
+    segment stream, zero at non-units."""
+    sig = np.concatenate([vals for _, _, vals, _
+                          in iter_sigma_segments(x, m.q, segment_length=seg)])
+    want = np.bincount(sig, minlength=m.q)
+    want[~m.unit_mask] = 0
+    return want
+
+
+def test_sparse_and_dense_fold_agree():
+    """q one below, at and one above the segment length: full segments
+    take the bincount path for q <= length and the in-place path above,
+    and the last, shorter segment may take the other one."""
+    for seg in (None, 997, 9973):
+        length = seg or DEFAULT_SEGMENT_LENGTH
+        x = length + 5_000 if seg is None else 30_000
+        for q in (length - 1, length, length + 1):
+            m = build_modulus(q)
+            want = _sequential_totals(x, m, length)
+            for workers in (1, 2, 8):
+                got = _class_totals(x, m, CensusFilter.all_integers(), None,
+                                    segment_length=seg, workers=workers)
+                assert np.array_equal(got, want), (seg, q, workers)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lo=st.integers(1, 10**12), size=st.integers(0, 3_000),
+       q=st.integers(1, 10**7))
+def test_coprime_mask_matches_gcd(lo, size, q):
+    got = _coprime_mask(lo, lo + size, build_modulus(q))
+    want = np.gcd(np.arange(lo, lo + size, dtype=np.int64), q) == 1
+    assert np.array_equal(got, want)
+
+
+def test_class_counts_protocol():
+    x = 3_000
+    assert census(x, build_modulus(1)).counts == {0: x}
+    for q in (5, 12, 200_003):  # the last spans several iteration chunks
+        m = build_modulus(q)
+        counts = census(x, m).counts
+        assert isinstance(counts, ClassCounts)
+        assert counts == brute_census(x, q, lambda n: True)
+        assert dict(counts) == counts
+        assert len(counts) == m.phi
+        assert list(counts) == m.units.tolist()
+        assert list(counts.keys()) == m.units.tolist()
+        assert [a for a, _ in counts.items()] == m.units.tolist()
+        assert list(counts.values()) == [counts[a] for a in counts]
+        assert repr(counts) == repr(dict(counts))
+        assert counts.get(q, 0) == 0 and counts.get("1", 0) == 0
+        assert counts.get(2**70, 0) == 0 and counts.get(-2**70, 0) == 0
+        assert counts.get(0, 0) == 0 and 0 not in counts
+        with pytest.raises(KeyError):
+            counts[q]
+        with pytest.raises(TypeError):
+            counts[1] = 5
+        with pytest.raises(ValueError):
+            counts.value_array[0] = 5
+        with pytest.raises(ValueError):
+            counts.key_array[0] = 5
+    # read-only views leave the modulus's own unit table writeable
+    assert build_modulus(12).units.flags.writeable
+    five = census(x, build_modulus(5)).counts
+    assert five != census(2 * x, build_modulus(5)).counts
+    assert five != {1: five[1]}
+    assert type(five[1]) is int
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=st.lists(st.integers(0, 10**15), min_size=1, max_size=200),
+       total=st.integers(1, 10**17))
+def test_max_rel_deviation_matches_full_array(counts, total):
+    arr = np.array(counts, dtype=np.int64)
+    want = float(np.max(np.abs(arr * arr.shape[0] / total - 1.0)))
+    assert _max_rel_deviation(arr, total) == want
 
 
 def test_iter_sigma_segments_concatenates(sieve_small):
