@@ -23,7 +23,7 @@ import math
 import time
 
 from sigmalab import (
-    build_sieve,
+    FactorSieve,
     curve_point_count,
     overrep_witness_even,
     overrep_witness_sqfree,
@@ -71,7 +71,7 @@ def demonstrator() -> None:
 
 
 def curve_scan(limit: int = 10 ** 4) -> None:
-    sieve = build_sieve(limit)
+    sieve = FactorSieve(limit)
     worst, at = 0.0, 0
     t0 = time.perf_counter()
     for ell in sieve.primes_up_to(limit):

@@ -35,7 +35,6 @@ from .factor import (
     Factorization,
     FactorSieve,
     TwoAdicSquareForm,
-    build_sieve,
     kth_largest_prime_factor,
     odd_part_is_square_array,
     psi_smooth_count,
@@ -131,7 +130,6 @@ __all__ = [
     "Factorization",
     "FactorSieve",
     "TwoAdicSquareForm",
-    "build_sieve",
     "kth_largest_prime_factor",
     "odd_part_is_square_array",
     "psi_smooth_count",

@@ -1,5 +1,6 @@
-"""Deterministic segment-parallel scans over integer ranges, and the one
-segment kernel, scan_segment, that every scan runs.
+"""Deterministic segment-parallel scans over integer ranges: plan, the one
+validated setup that every scan runs and that supplies its primes ≤ √x,
+and scan_segment, the one segment kernel that every scan runs.
 
 Range: the kernel's int64 values are n ≤ x, n + 1, the found part of n
 (a divisor of n) and products of residues mod q, which stay below q²,
@@ -25,22 +26,20 @@ MAX_SCAN_Q = math.isqrt(_INT64_MAX)
 _FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 
-def check_scan_range(x: int, q: int = 1, sieve=None) -> None:
-    """Raise OutOfRangeError unless x ≤ MAX_SCAN_X, q ≤ MAX_SCAN_Q and a
-    given FactorSieve reaches x."""
-    if sieve is not None and x > sieve.limit:
-        raise OutOfRangeError(f"x = {x} exceeds sieve limit {sieve.limit}")
+DEFAULT_SEGMENT_LENGTH = 1 << 20
+
+
+def check_scan_range(x: int, q: int = 1) -> None:
+    """Raise OutOfRangeError unless x ≤ MAX_SCAN_X and q ≤ MAX_SCAN_Q."""
     if x > MAX_SCAN_X:
         raise OutOfRangeError(f"x = {x} exceeds {MAX_SCAN_X}: n + 1 must fit in int64")
     if q > MAX_SCAN_Q:
         raise OutOfRangeError(f"q = {q} exceeds {MAX_SCAN_Q}: q^2 must fit in int64")
 
 
-def primes_up_to(limit: int, sieve=None) -> np.ndarray:
-    """All primes ≤ limit as an ascending int64 array: from the FactorSieve
-    when one covering limit is given, else from a plain bool-array sieve."""
-    if sieve is not None and sieve.limit >= limit:
-        return sieve.primes_up_to(limit)
+def primes_up_to(limit: int) -> np.ndarray:
+    """All primes ≤ limit as an ascending int64 array, from a plain
+    bool-array sieve."""
     if limit < 2:
         return np.zeros(0, dtype=np.int64)
     composite = np.zeros(limit + 1, dtype=bool)
@@ -49,6 +48,28 @@ def primes_up_to(limit: int, sieve=None) -> np.ndarray:
         if not composite[p]:
             composite[p * p :: p] = True
     return np.flatnonzero(~composite).astype(np.int64)
+
+
+def plan(x: int, q: int = 1, segment_length: Optional[int] = None,
+         prime_limit: Optional[int] = None) -> tuple[np.ndarray, int]:
+    """Validate a scan of 1 ≤ n ≤ x (σ mod q, if any) and set it up.
+
+    Refuses x < 1, q < 1 and segment_length < 1, then the ranges that
+    check_scan_range refuses, all with OutOfRangeError and before any
+    table is built.  Returns the primes ≤ min(prime_limit, √x) and the
+    segment length (DEFAULT_SEGMENT_LENGTH for None).
+    """
+    if x < 1:
+        raise OutOfRangeError(f"x must be >= 1, got {x}")
+    if q < 1:
+        raise OutOfRangeError(f"modulus must be >= 1, got {q}")
+    if segment_length is None:
+        segment_length = DEFAULT_SEGMENT_LENGTH
+    elif segment_length < 1:
+        raise OutOfRangeError(f"segment_length must be >= 1, got {segment_length}")
+    check_scan_range(x, q)
+    limit = math.isqrt(x) if prime_limit is None else min(prime_limit, math.isqrt(x))
+    return primes_up_to(limit), segment_length
 
 
 class Segment(NamedTuple):

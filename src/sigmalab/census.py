@@ -22,10 +22,13 @@ equidistribution exponent, a discrepancy statistic, and the main-term
 shapes x/(log x)^{1−α} and √x/(log x)^{1−α̃} for coprime-σ counts.
 
 All counting is exact 64-bit integer arithmetic, for x ≤ 2⁶³ − 2 and
-q ≤ 3.04·10⁹; larger inputs raise OutOfRangeError before any table is
-built.  Each segment's classes are added into one shared int64 total
-under a lock: as a bincount when the segment admits at least q
-integers, else one increment per integer with np.add.at.  Integer addition is exact in
+q ≤ 3.04·10⁹.  Every scan here is set up by _scan.plan, which refuses
+larger inputs, x < 1, q < 1 and a segment length below 1 with
+OutOfRangeError before any table is built, and supplies the primes
+≤ √x the kernel walks; no FactorSieve is involved.  Each segment's
+classes are added into one shared int64 total under a lock: as a
+bincount when the segment admits at least q integers, else one
+increment per integer with np.add.at.  Integer addition is exact in
 any order, so outputs are identical for any worker count and segment
 length.  The unit classes are then compacted into the front of that
 total in place, and the report's counts are a read-only mapping over
@@ -46,11 +49,11 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from ._scan import check_scan_range, map_segments, primes_up_to, scan_segment, segment_bounds
+from ._scan import (check_scan_range, map_segments, plan, primes_up_to, scan_segment,
+                    segment_bounds)
 from .characters import DirichletCharacter, Modulus
 from .charsums import PolynomialSpec
 from .errors import DegenerateCensusError, OutOfRangeError, UnsupportedModulusError
-from .factor import DEFAULT_SEGMENT_LENGTH, FactorSieve
 
 __all__ = [
     "CensusFilter",
@@ -242,7 +245,6 @@ class CensusReport:
 def iter_sigma_segments(
     x: int,
     q: int,
-    sieve: Optional[FactorSieve] = None,
     *,
     segment_length: Optional[int] = None,
     threshold: Optional[int] = None,
@@ -256,13 +258,7 @@ def iter_sigma_segments(
     exposing it.
     """
     x = int(x)
-    if x < 1:
-        raise OutOfRangeError(f"x must be >= 1, got {x}")
-    if q < 1:
-        raise ValueError(f"modulus must be >= 1, got {q}")
-    check_scan_range(x, q, sieve)
-    primes = primes_up_to(math.isqrt(x))
-    seg_len = segment_length or DEFAULT_SEGMENT_LENGTH
+    primes, seg_len = plan(x, q, segment_length)
     for lo, hi in segment_bounds(1, x + 1, seg_len):
         seg = scan_segment(lo, hi, primes, q=q, above=threshold)
         cnt = None if threshold is None else seg.large.astype(np.int64)
@@ -282,7 +278,6 @@ def _class_totals(
     x: int,
     m: Modulus,
     f: CensusFilter,
-    sieve: Optional[FactorSieve],
     segment_length: Optional[int],
     workers: int,
 ) -> np.ndarray:
@@ -295,12 +290,8 @@ def _class_totals(
     such parts are alive at a time, and none when q exceeds the segment
     length.  The sum is exact in any order, hence the same for any
     segment length and workers."""
-    if x < 1:
-        raise OutOfRangeError(f"x must be >= 1, got {x}")
     q = m.q
-    check_scan_range(x, q, sieve)
-    primes = primes_up_to(math.isqrt(x))
-    seg_len = segment_length or DEFAULT_SEGMENT_LENGTH
+    primes, seg_len = plan(x, q, segment_length)
     threshold = f.threshold if f.kind == "pk-threshold" else None
 
     totals = np.zeros(q, dtype=np.int64)
@@ -342,7 +333,6 @@ def census(
     x: int,
     m: Modulus,
     f: Optional[CensusFilter] = None,
-    sieve: Optional[FactorSieve] = None,
     *,
     segment_length: Optional[int] = None,
     workers: int = 1,
@@ -362,7 +352,7 @@ def census(
         f = CensusFilter.all_integers()
     q = m.q
     units = m.units
-    totals = _class_totals(x, m, f, sieve, segment_length, workers)
+    totals = _class_totals(x, m, f, segment_length, workers)
     # units[i] >= i, so each chunk reads only slots no earlier chunk wrote.
     for start in range(0, m.phi, _CHUNK):
         stop = min(start + _CHUNK, m.phi)
@@ -390,7 +380,6 @@ def twisted_partial_sum(
     x: int,
     chi: DirichletCharacter,
     f: Optional[CensusFilter] = None,
-    sieve: Optional[FactorSieve] = None,
     *,
     segment_length: Optional[int] = None,
     workers: int = 1,
@@ -408,7 +397,7 @@ def twisted_partial_sum(
     if f is None:
         f = CensusFilter.all_integers()
     m = chi.modulus
-    totals = _class_totals(x, m, f, sieve, segment_length, workers)
+    totals = _class_totals(x, m, f, segment_length, workers)
     return complex(m.character_transform(totals)[chi.index])
 
 
@@ -416,7 +405,6 @@ def prime_reciprocal_sum(
     F: PolynomialSpec,
     m: Modulus,
     x: int,
-    sieve: Optional[FactorSieve] = None,
     *,
     chunk: int = 1 << 20,
 ) -> float:
@@ -431,8 +419,8 @@ def prime_reciprocal_sum(
     x = int(x)
     if x < 2:
         raise OutOfRangeError(f"x must be >= 2, got {x}")
-    check_scan_range(x, sieve=sieve)
-    primes = primes_up_to(x, sieve)
+    check_scan_range(x)
+    primes = primes_up_to(x)
     q = m.q
     total = 0.0
     for start in range(0, primes.shape[0], chunk):

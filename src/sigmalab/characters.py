@@ -332,7 +332,7 @@ class Modulus:
     def character(self, index: int) -> "DirichletCharacter":
         """The index-th character in enumeration order."""
         if index < 0 or index >= self.phi:
-            raise ValueError(f"character index must lie in 0..{self.phi - 1}")
+            raise OutOfRangeError(f"character index must lie in 0..{self.phi - 1}")
         exps = []
         rem = index
         for g in reversed(self.basis.generators):

@@ -319,7 +319,7 @@ class PolynomialSpec:
     def __post_init__(self) -> None:
         coeffs = tuple(int(c) for c in self.coefficients)
         if len(coeffs) < 2 or coeffs[-1] == 0:
-            raise ValueError("polynomial must be nonconstant with a nonzero "
+            raise OutOfRangeError("polynomial must be nonconstant with a nonzero "
                              "leading coefficient")
         object.__setattr__(self, "coefficients", coeffs)
 

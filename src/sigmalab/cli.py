@@ -269,6 +269,15 @@ def _modulus(args: argparse.Namespace, q: Optional[int] = None) -> Modulus:
     return Modulus(q if q is not None else args.q, modulus_cap=_budget(args) // 64)
 
 
+def _add_filter(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--filter", choices=("all", "coprime-only", "pk-threshold"),
+                        default="all")
+    parser.add_argument("--k", type=_parse_int, default=None,
+                        help="which largest prime factor (pk-threshold filter)")
+    parser.add_argument("--threshold", type=_parse_int, default=None,
+                        help="lower bound it must exceed (pk-threshold filter)")
+
+
 def _census_filter(args: argparse.Namespace) -> CensusFilter:
     """The --filter flags as a CensusFilter; a missing or invalid --k or
     --threshold is a usage error (ArgumentTypeError, exit 2 in main)."""
@@ -355,9 +364,10 @@ def _cmd_twisted_sum(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------ rho / eta
 
-def _character_table(args: argparse.Namespace, kind: str) -> int:
+def _cmd_character_table(args: argparse.Namespace) -> int:
     m = _modulus(args)
-    table = rho_table(m) if kind == "rho" else eta_table(m)
+    rho = args.command == "rho-table"
+    table = rho_table(m) if rho else eta_table(m)
     rows = []
     json_rows = []
     for row in table:
@@ -373,21 +383,13 @@ def _character_table(args: argparse.Namespace, kind: str) -> int:
         })
     payload = {"q": m.q, "phi": m.phi, "rows": json_rows,
                "alpha": m.alpha, "alpha_tilde": m.alpha_tilde}
-    label = ("mean of chi(v+1) over units v" if kind == "rho"
+    label = ("mean of chi(v+1) over units v" if rho
              else "mean of chi(v^2+v+1) over units v")
-    out = _Output(args, f"{kind}-table")
+    out = _Output(args, args.command)
     out.write(payload, ["index", "exponents", "order", "conductor",
                         "re", "im", "abs"], rows,
               f"{label}, all characters mod {m.q}")
     return 0
-
-
-def _cmd_rho_table(args: argparse.Namespace) -> int:
-    return _character_table(args, "rho")
-
-
-def _cmd_eta_table(args: argparse.Namespace) -> int:
-    return _character_table(args, "eta")
 
 
 # --------------------------------------------------------- verify-s-set
@@ -545,7 +547,19 @@ def _cmd_curve_count(args: argparse.Namespace) -> int:
 
 # --------------------------------------------------------------- witnesses
 
-def _witness_payload(report) -> tuple[dict[str, Any], list[list[Any]]]:
+# Per witness subcommand: the library construction and the CSV description.
+_WITNESSES = {
+    "witness-even": (overrep_witness_even, "n = (P1*P2)^2 concentrating in one class "
+                                           "of sigma(n) mod 2*(prod ell)^2"),
+    "witness-sqfree": (overrep_witness_sqfree, "prime squares concentrating in class 3 "
+                                               "of sigma(n) mod 2*prod ell"),
+}
+
+
+def _cmd_witness(args: argparse.Namespace) -> int:
+    construct, description = _WITNESSES[args.command]
+    report = construct(args.y, args.x, segment_length=args.segment_length,
+                       workers=args.workers)
     payload = {
         "kind": report.kind,
         "q": report.q,
@@ -567,33 +581,10 @@ def _witness_payload(report) -> tuple[dict[str, Any], list[list[Any]]]:
              report.witness_count, report.crt_count, report.direct_count,
              report.census_class_count, report.census_total,
              report.mean_count, report.ratio]]
-    return payload, rows
-
-
-_WITNESS_HEADER = ["q", "Y", "x", "witness_class", "witness_count", "crt_count",
-                   "direct_count", "census_class_count", "census_total",
-                   "mean_count", "ratio"]
-
-
-def _cmd_witness_even(args: argparse.Namespace) -> int:
-    report = overrep_witness_even(args.y, args.x,
-                                  segment_length=args.segment_length,
-                                  workers=args.workers)
-    payload, rows = _witness_payload(report)
-    out = _Output(args, "witness-even")
-    out.write(payload, _WITNESS_HEADER, rows,
-              "n = (P1*P2)^2 concentrating in one class of sigma(n) mod 2*(prod ell)^2")
-    return 0 if report.crt_count == report.direct_count else 1
-
-
-def _cmd_witness_sqfree(args: argparse.Namespace) -> int:
-    report = overrep_witness_sqfree(args.y, args.x,
-                                    segment_length=args.segment_length,
-                                    workers=args.workers)
-    payload, rows = _witness_payload(report)
-    out = _Output(args, "witness-sqfree")
-    out.write(payload, _WITNESS_HEADER, rows,
-              "prime squares concentrating in class 3 of sigma(n) mod 2*prod ell")
+    out = _Output(args, args.command)
+    out.write(payload, ["q", "Y", "x", "witness_class", "witness_count", "crt_count",
+                        "direct_count", "census_class_count", "census_total",
+                        "mean_count", "ratio"], rows, description)
     return 0 if report.crt_count == report.direct_count else 1
 
 
@@ -650,12 +641,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                    "perfect uniformity.")
     p.add_argument("--x", type=_parse_int, required=True)
     p.add_argument("--q", type=_parse_int, required=True)
-    p.add_argument("--filter", choices=("all", "coprime-only", "pk-threshold"),
-                   default="all")
-    p.add_argument("--k", type=_parse_int, default=None,
-                   help="which largest prime factor (pk-threshold filter)")
-    p.add_argument("--threshold", type=_parse_int, default=None,
-                   help="lower bound it must exceed (pk-threshold filter)")
+    _add_filter(p)
     _add_common(p, parallel=True)
     p.set_defaults(func=_cmd_census)
 
@@ -667,10 +653,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=_parse_int, required=True)
     p.add_argument("--index", type=_parse_int, required=True,
                    help="character index in enumeration order (0 = principal)")
-    p.add_argument("--filter", choices=("all", "coprime-only", "pk-threshold"),
-                   default="all")
-    p.add_argument("--k", type=_parse_int, default=None)
-    p.add_argument("--threshold", type=_parse_int, default=None)
+    _add_filter(p)
     _add_common(p, parallel=True)
     p.set_defaults(func=_cmd_twisted_sum)
 
@@ -679,14 +662,14 @@ def _build_parser() -> argparse.ArgumentParser:
                                    "units v mod q for every character chi.")
     p.add_argument("--q", type=_parse_int, required=True)
     _add_common(p)
-    p.set_defaults(func=_cmd_rho_table)
+    p.set_defaults(func=_cmd_character_table)
 
     p = sub.add_parser("eta-table", help="mean of chi(v^2+v+1) for every chi mod q",
                        description="Tabulates the average of chi(v^2+v+1) over "
                                    "units v mod q for every character chi.")
     p.add_argument("--q", type=_parse_int, required=True)
     _add_common(p)
-    p.set_defaults(func=_cmd_eta_table)
+    p.set_defaults(func=_cmd_character_table)
 
     p = sub.add_parser("verify-s-set",
                        help="normalized maxima over the exceptional conductors",
@@ -771,7 +754,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Y", dest="y", type=_parse_int, required=True)
     p.add_argument("--x", type=_parse_int, required=True)
     _add_common(p, parallel=True)
-    p.set_defaults(func=_cmd_witness_even)
+    p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("witness-sqfree",
                        help="over-representation witness with prime squares",
@@ -781,7 +764,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Y", dest="y", type=_parse_int, required=True)
     p.add_argument("--x", type=_parse_int, required=True)
     _add_common(p, parallel=True)
-    p.set_defaults(func=_cmd_witness_sqfree)
+    p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("prime-recip",
                        help="reciprocal sum of primes with F(p) coprime to q",

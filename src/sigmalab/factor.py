@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from ._scan import check_scan_range, map_segments, primes_up_to, scan_segment, segment_bounds
+from ._scan import (DEFAULT_SEGMENT_LENGTH, map_segments, plan, primes_up_to, scan_segment,
+                    segment_bounds)
 from .errors import OutOfRangeError, ResourceBudgetError
 
-DEFAULT_SEGMENT_LENGTH = 1 << 20
 DEFAULT_MEMORY_BUDGET = 2_000_000_000  # bytes allowed for one spf table
 
 
@@ -164,8 +165,7 @@ class FactorSieve:
             seg = spf[lo:hi]
             fresh = np.flatnonzero(seg == 0) + lo
             spf[fresh] = fresh
-        if self.limit >= 1:
-            spf[1] = 1
+        spf[1] = 1
         self._spf = spf
         self._primes: np.ndarray | None = None
 
@@ -211,10 +211,15 @@ class FactorSieve:
         return ps[: int(np.searchsorted(ps, bound, side="right"))]
 
 
-def build_sieve(x: int, segment_length: int = DEFAULT_SEGMENT_LENGTH,
-                memory_budget: int = DEFAULT_MEMORY_BUDGET) -> FactorSieve:
-    """Smallest-prime-factor table covering 2..x, ready for factorize()."""
-    return FactorSieve(x, segment_length=segment_length, memory_budget=memory_budget)
+def _count_segments(x: int, sieve: FactorSieve, prime_limit: int,
+                    segment_length: int | None, workers: int,
+                    count: Callable[[int, int, np.ndarray], int]) -> int:
+    """Σ count(lo, hi, primes) over the segments of [1, x], with the primes
+    ≤ min(prime_limit, √x); x must not exceed the sieve's limit."""
+    if x > sieve.limit:
+        raise OutOfRangeError(f"x = {x} exceeds sieve limit {sieve.limit}")
+    primes, seg_len = plan(x, segment_length=segment_length, prime_limit=prime_limit)
+    return sum(map_segments(1, x + 1, seg_len, lambda lo, hi: count(lo, hi, primes), workers))
 
 
 def psi_smooth_count(x: int, z: float, sieve: FactorSieve,
@@ -223,36 +228,27 @@ def psi_smooth_count(x: int, z: float, sieve: FactorSieve,
 
     Streams segments, divides out all prime factors <= min(z, sqrt(x)); the
     leftover cofactor is 1 or a single prime > sqrt(x), so n is z-smooth
-    exactly when the leftover is <= z.
+    exactly when the leftover is <= z.  The count does not depend on the
+    segment length or workers.
     """
-    if x < 1:
-        raise ValueError("x must be >= 1")
     if z < 2:
         raise ValueError("z must be >= 2")
-    check_scan_range(x, sieve=sieve)
-    seg_len = segment_length or sieve.segment_length
     zf = math.floor(z)
-    ps = primes_up_to(min(zf, math.isqrt(x)))
 
-    def one_segment(lo: int, hi: int) -> int:
-        return int(np.count_nonzero(scan_segment(lo, hi, ps).cofactor <= zf))
+    def count(lo: int, hi: int, primes: np.ndarray) -> int:
+        return int(np.count_nonzero(scan_segment(lo, hi, primes).cofactor <= zf))
 
-    return sum(map_segments(1, x + 1, seg_len, one_segment, workers))
+    return _count_segments(x, sieve, zf, segment_length, workers, count)
 
 
 def rough_count(x: int, y: float, sieve: FactorSieve,
                 segment_length: int | None = None, workers: int = 1) -> int:
     """Exact count of y-rough n <= x (least prime factor > y); 1 is rough."""
-    if x < 1:
-        raise ValueError("x must be >= 1")
     if y < 1:
         raise ValueError("y must be >= 1")
-    check_scan_range(x, sieve=sieve)
-    seg_len = segment_length or sieve.segment_length
     yf = math.floor(y)
-    ps = primes_up_to(min(yf, math.isqrt(x)))
 
-    def one_segment(lo: int, hi: int) -> int:
-        return int(np.count_nonzero(scan_segment(lo, hi, ps, rough=yf).rough))
+    def count(lo: int, hi: int, primes: np.ndarray) -> int:
+        return int(np.count_nonzero(scan_segment(lo, hi, primes, rough=yf).rough))
 
-    return sum(map_segments(1, x + 1, seg_len, one_segment, workers))
+    return _count_segments(x, sieve, yf, segment_length, workers, count)

@@ -11,8 +11,9 @@ contributes β⁰ = 1) and Ω counts prime factors with multiplicity.  For
     X/(log X)^{1−β} · e^{−γβ} / (Γ(β) · (log Y)^β),
 
 with γ the Euler–Mascheroni constant.  This module provides the exact
-sum (via a segmented sieve that never factors anything below the
-roughness cut), the main-term evaluator, a complex Γ good to ~1e-13
+sum (one walk of the primes ≤ √X per segment through the kernel
+_scan.scan_segment, set up by _scan.plan; the primes ≤ Y only mark
+non-rough n), the main-term evaluator, a complex Γ good to ~1e-13
 relative accuracy on the region we care about, the companion Euler
 product
 
@@ -35,9 +36,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._scan import check_scan_range, map_segments, primes_up_to, scan_segment
+from ._scan import map_segments, plan, primes_up_to, scan_segment
 from .errors import GammaPoleError, OutOfRangeError
-from .factor import DEFAULT_SEGMENT_LENGTH, FactorSieve
 
 __all__ = [
     "EULER_GAMMA",
@@ -134,7 +134,6 @@ class TwistedSumResult:
 def rough_omega_histogram(
     x: int,
     y: float,
-    sieve: Optional[FactorSieve] = None,
     *,
     segment_length: Optional[int] = None,
     workers: int = 1,
@@ -142,33 +141,28 @@ def rough_omega_histogram(
     """N_k = #{n ≤ x : n is y-rough, Ω(n) = k}, as an int64 vector.
 
     n = 1 is vacuously y-rough and lands in N_0.  The vector has fixed
-    length 64, which exceeds any possible Ω below 2^64.  When a sieve
-    is supplied, x must not exceed its limit (the scan itself only
-    needs primes up to sqrt(x), but the shared-sieve contract keeps
-    ranges consistent across a session).
+    length 64, which exceeds any possible Ω below 2^64.  One walk of the
+    primes ≤ √x per segment (_scan.scan_segment) marks roughness and
+    counts Ω; the per-segment histograms are summed in segment order, so
+    the result does not depend on segment_length or workers.
     """
     x = int(x)
     y = float(y)
-    if x < 1:
-        raise OutOfRangeError(f"range end must satisfy x >= 1, got {x}")
     if y < 2:
         raise OutOfRangeError(f"roughness cut must satisfy y >= 2, got {y}")
-    check_scan_range(x, sieve=sieve)
-    primes = primes_up_to(math.isqrt(x))
+    primes, seg_len = plan(x, segment_length=segment_length)
 
     def one_segment(lo: int, hi: int) -> np.ndarray:
         # For y-rough n every prime factor exceeds y, so the count above y is Ω(n).
         seg = scan_segment(lo, hi, primes, above=y, rough=y)
         return np.bincount(seg.large[seg.rough], minlength=_OMEGA_WIDTH)
 
-    seg_len = segment_length or DEFAULT_SEGMENT_LENGTH
     parts = map_segments(1, x + 1, seg_len, one_segment, workers=workers)
     return np.sum(parts, axis=0, dtype=np.int64)
 
 
 def exact_twisted_sum(
     params: TwistedSumParams,
-    sieve: Optional[FactorSieve] = None,
     *,
     segment_length: Optional[int] = None,
     workers: int = 1,
@@ -180,7 +174,7 @@ def exact_twisted_sum(
     so the arithmetic is integer until the very last 64 multiplies.
     """
     hist = rough_omega_histogram(
-        params.x, params.y, sieve, segment_length=segment_length, workers=workers
+        params.x, params.y, segment_length=segment_length, workers=workers
     )
     beta = params.beta
     total = 0j
@@ -309,7 +303,6 @@ def g_one_euler_product(
     y: float,
     beta: complex,
     p_max: int,
-    sieve: Optional[FactorSieve] = None,
 ) -> GOneResult:
     """G(1) = ∏_{p≤y}(1−1/p)^β · ∏_{p>y}(1−1/p)^β(1−β/p)^{−1},
     truncated at p_max and completed by the analytic tail term.
@@ -325,7 +318,7 @@ def g_one_euler_product(
         raise OutOfRangeError(f"cut must satisfy y >= 2, got {y}")
     if p_max < y:
         raise OutOfRangeError(f"truncation p_max = {p_max} must reach the cut y = {y}")
-    primes = primes_up_to(p_max, sieve).astype(np.float64)
+    primes = primes_up_to(p_max).astype(np.float64)
     head = primes[primes <= y]
     log_total = beta * float(np.sum(np.log1p(-1.0 / head)))
     if beta != 1.0:
@@ -349,7 +342,6 @@ def convergence_scan(
     beta: complex,
     x_grid: Sequence[int],
     y: float,
-    sieve: Optional[FactorSieve] = None,
     *,
     segment_length: Optional[int] = None,
     workers: int = 1,
@@ -363,9 +355,7 @@ def convergence_scan(
     rows = []
     for x in x_grid:
         params = TwistedSumParams(x=int(x), y=y, beta=beta)
-        exact = exact_twisted_sum(
-            params, sieve, segment_length=segment_length, workers=workers
-        )
+        exact = exact_twisted_sum(params, segment_length=segment_length, workers=workers)
         main = lsd_main_term(params)
         ratio = exact / main if main != 0 else None
         rows.append(

@@ -31,11 +31,11 @@ from typing import Optional
 
 import numpy as np
 
-from ._scan import check_scan_range, primes_up_to
+from ._scan import plan, primes_up_to
 from .characters import Modulus, _crt_pair, build_modulus, trial_factorization
 from .census import CensusFilter, census
 from .errors import OutOfRangeError, ResourceBudgetError
-from .factor import DEFAULT_SEGMENT_LENGTH, Factorization, FactorSieve, sigma_mod
+from .factor import Factorization, sigma_mod
 
 __all__ = [
     "SolutionCount",
@@ -273,10 +273,54 @@ def _witness_primes(y: int) -> list[int]:
     return ells
 
 
+# Per witness kind: the k of its P_k(n) > q census, k in words, the class's name.
+_WITNESS_CENSUS = {"even": (4, "four", "the witness class"),
+                   "squarefree": (2, "two", "class 3")}
+
+
+def _witness_report(kind: str, q: int, y: int, x: int, klass: int, crt_count: int,
+                    direct_count: int, num_prime_classes: Optional[int],
+                    segment_length: Optional[int], workers: int) -> OverrepWitnessReport:
+    """The report of one witness construction: its counts, and the
+    witness class against the mean of the census under P_k(n) > q."""
+    k, k_words, class_name = _WITNESS_CENSUS[kind]
+    report = census(x, build_modulus(q), CensusFilter.pk_threshold(k, q),
+                    segment_length=segment_length, workers=workers)
+    class_count = report.counts.get(klass, 0)
+    total = report.total_coprime
+    phi = len(report.counts)
+    if total > 0:
+        mean = total / phi
+        ratio: Optional[float] = class_count * phi / total
+        note = f"filtered census is nonempty; ratio compares {class_name} to the mean"
+    else:
+        mean = None
+        ratio = None
+        note = (
+            f"no n <= {x} has {k_words} prime factors above q = {q}; the census "
+            "comparison only becomes meaningful for far larger x"
+        )
+    return OverrepWitnessReport(
+        kind=kind,
+        q=q,
+        y_cut=y,
+        x=x,
+        witness_class=klass,
+        crt_count=crt_count,
+        direct_count=direct_count,
+        witness_count=direct_count,
+        num_prime_classes=num_prime_classes,
+        census_class_count=class_count,
+        census_total=total,
+        mean_count=mean,
+        ratio=ratio,
+        census_note=note,
+    )
+
+
 def overrep_witness_even(
     y: int,
     x: int,
-    sieve: Optional[FactorSieve] = None,
     *,
     segment_length: Optional[int] = None,
     workers: int = 1,
@@ -294,7 +338,7 @@ def overrep_witness_even(
     y = int(y)
     if x < 4:
         raise OutOfRangeError(f"x must be >= 4, got {x}")
-    check_scan_range(x)
+    primes, _ = plan(x, segment_length=segment_length)
     ells = _witness_primes(y)
     q = 2
     for ell in ells:
@@ -312,27 +356,17 @@ def overrep_witness_even(
 
     # Prime windows by exact integer power comparisons.
     root = math.isqrt(x)
-    all_primes = [int(p) for p in primes_up_to(root)]
+    all_primes = primes.tolist()
     p2_list = [p for p in all_primes if p**10 > x and p**6 <= x]
     crt_count = 0
     direct_count = 0
 
     def local_ok(p: int) -> bool:
-        if p % 2 == 0:
-            return False
-        for ell in ells:
-            if p % ell == 0:
-                return False
-        return True
+        return p % 2 == 1 and all(p % ell for ell in ells)
 
     def pair_in_class(p1: int, p2: int) -> bool:
-        for ell in ells:
-            ll = ell * ell
-            f1 = (p1 * p1 + p1 + 1) % ll
-            f2 = (p2 * p2 + p2 + 1) % ll
-            if f1 * f2 % ll != targets[ell]:
-                return False
-        return True
+        value = (p1 * p1 + p1 + 1) * (p2 * p2 + p2 + 1)
+        return all(value % (ell * ell) == targets[ell] for ell in ells)
 
     for p2 in p2_list:
         if not local_ok(p2):
@@ -349,51 +383,13 @@ def overrep_witness_even(
             if sigma_mod(fact, q) == w_q % q:
                 direct_count += 1
 
-    report = census(
-        x,
-        build_modulus(q),
-        CensusFilter.pk_threshold(4, q),
-        sieve,
-        segment_length=segment_length,
-        workers=workers,
-    )
-    klass = w_q % q
-    class_count = report.counts.get(klass, 0)
-    total = report.total_coprime
-    phi = len(report.counts)
-    if total > 0:
-        mean = total / phi
-        ratio: Optional[float] = class_count * phi / total
-        note = "filtered census is nonempty; ratio compares the witness class to the mean"
-    else:
-        mean = None
-        ratio = None
-        note = (
-            f"no n <= {x} has four prime factors above q = {q}; the census "
-            "comparison only becomes meaningful for far larger x"
-        )
-    return OverrepWitnessReport(
-        kind="even",
-        q=q,
-        y_cut=y,
-        x=x,
-        witness_class=klass,
-        crt_count=crt_count,
-        direct_count=direct_count,
-        witness_count=direct_count,
-        num_prime_classes=None,
-        census_class_count=class_count,
-        census_total=total,
-        mean_count=mean,
-        ratio=ratio,
-        census_note=note,
-    )
+    return _witness_report("even", q, y, x, w_q % q, crt_count, direct_count, None,
+                           segment_length, workers)
 
 
 def overrep_witness_sqfree(
     y: int,
     x: int,
-    sieve: Optional[FactorSieve] = None,
     *,
     segment_length: Optional[int] = None,
     workers: int = 1,
@@ -412,7 +408,7 @@ def overrep_witness_sqfree(
     y = int(y)
     if x < 4:
         raise OutOfRangeError(f"x must be >= 4, got {x}")
-    check_scan_range(x)
+    primes, _ = plan(x, segment_length=segment_length)
     ells = _witness_primes(y)
     q = 2
     for ell in ells:
@@ -420,11 +416,9 @@ def overrep_witness_sqfree(
         if q >= 1 << 63:
             raise ResourceBudgetError(f"witness modulus for y = {y} exceeds 64 bits")
 
-    root = math.isqrt(x)
-    primes = [int(p) for p in primes_up_to(root)]
     crt_count = 0
     direct_count = 0
-    for p in primes:
+    for p in primes.tolist():
         if p**4 <= x:
             continue
         in_class = p % 2 == 1 and all(p % ell in (1, ell - 2) for ell in ells)
@@ -433,42 +427,5 @@ def overrep_witness_sqfree(
         if sigma_mod(Factorization(((p, 2),)), q) == 3 % q:
             direct_count += 1
 
-    report = census(
-        x,
-        build_modulus(q),
-        CensusFilter.pk_threshold(2, q),
-        sieve,
-        segment_length=segment_length,
-        workers=workers,
-    )
-    klass = 3 % q
-    class_count = report.counts.get(klass, 0)
-    total = report.total_coprime
-    phi = len(report.counts)
-    if total > 0:
-        mean = total / phi
-        ratio: Optional[float] = class_count * phi / total
-        note = "filtered census is nonempty; ratio compares class 3 to the mean"
-    else:
-        mean = None
-        ratio = None
-        note = (
-            f"no n <= {x} has two prime factors above q = {q}; the census "
-            "comparison only becomes meaningful for far larger x"
-        )
-    return OverrepWitnessReport(
-        kind="squarefree",
-        q=q,
-        y_cut=y,
-        x=x,
-        witness_class=klass,
-        crt_count=crt_count,
-        direct_count=direct_count,
-        witness_count=direct_count,
-        num_prime_classes=2 ** len(ells),
-        census_class_count=class_count,
-        census_total=total,
-        mean_count=mean,
-        ratio=ratio,
-        census_note=note,
-    )
+    return _witness_report("squarefree", q, y, x, 3 % q, crt_count, direct_count,
+                           2 ** len(ells), segment_length, workers)

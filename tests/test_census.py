@@ -90,21 +90,29 @@ def test_census_workers_and_segments_identical():
         assert again.counts == base.counts
 
 
-def test_class_totals_memory_bounded_by_workers():
-    """Segments fold into one total: at most `workers` q-length bincounts
-    are alive at once, however many segments the scan has (here 49)."""
-    q, workers = 1_000_003, 2
+@pytest.mark.parametrize("x, q, segment_length, workers, bound", [
+    pytest.param(200_000, 1_000_003, 4096, 2, (2 + 2) * 8 * 1_000_003, id="sparse"),
+    pytest.param(40 * 8192, 8191, 8192, 1, (1 + 6 * 1) * 8 * 8192, id="dense-1"),
+    pytest.param(40 * 8192, 8191, 8192, 2, (1 + 6 * 2) * 8 * 8192, id="dense-2"),
+])
+def test_class_totals_memory_bounded_by_workers(x, q, segment_length, workers, bound):
+    """Segments fold into one total, so the peak grows with the worker
+    count and not with the number of segments (49 sparse, 40 dense).
+    Sparse: q exceeds the segment length and every segment folds in
+    place.  Dense: each worker holds its segment's arrays and one q-length
+    bincount at a time, about 6·8·L bytes for L = 8192; a fold that kept
+    every segment's part would need more than 40·8·L."""
     m = build_modulus(q)
     m.unit_mask  # build the lazy table before tracing
     tracemalloc.start()
     try:
-        totals = _class_totals(200_000, m, CensusFilter.all_integers(), None,
-                               segment_length=4096, workers=workers)
+        totals = _class_totals(x, m, CensusFilter.all_integers(),
+                               segment_length=segment_length, workers=workers)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < (workers + 2) * 8 * q
-    assert int(totals.sum()) == census(200_000, m).total_coprime
+    assert peak < bound
+    assert int(totals.sum()) == census(x, m).total_coprime
 
 
 def test_class_totals_sparse_fold_memory():
@@ -115,7 +123,7 @@ def test_class_totals_sparse_fold_memory():
     m.unit_mask  # build the lazy table before tracing
     tracemalloc.start()
     try:
-        _class_totals(200_000, m, CensusFilter.all_integers(), None,
+        _class_totals(200_000, m, CensusFilter.all_integers(),
                       segment_length=4096, workers=2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -144,7 +152,7 @@ def test_sparse_and_dense_fold_agree():
             m = build_modulus(q)
             want = _sequential_totals(x, m, length)
             for workers in (1, 2, 8):
-                got = _class_totals(x, m, CensusFilter.all_integers(), None,
+                got = _class_totals(x, m, CensusFilter.all_integers(),
                                     segment_length=seg, workers=workers)
                 assert np.array_equal(got, want), (seg, q, workers)
 

@@ -14,7 +14,6 @@ from sigmalab import (
     FactorSieve,
     OutOfRangeError,
     ResourceBudgetError,
-    build_sieve,
     kth_largest_prime_factor,
     odd_part_is_square_array,
     psi_smooth_count,
@@ -175,7 +174,7 @@ def test_sieve_invariant_under_segment_length():
 
 
 def test_build_sieve_equivalent():
-    s = build_sieve(5_000)
+    s = FactorSieve(5_000)
     assert s.limit == 5_000
     assert s.factorize(4_998).factors == ((2, 1), (3, 1), (7, 2), (17, 1))
 

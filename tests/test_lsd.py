@@ -113,7 +113,7 @@ def brute_rough_omega(x: int, y: float) -> dict[int, int]:
 
 def test_rough_omega_histogram_brute(sieve_small):
     for x, y in ((2_000, 3), (2_000, 10), (5_000, 30), (500, 2)):
-        hist = rough_omega_histogram(x, y, sieve_small)
+        hist = rough_omega_histogram(x, y)
         want = brute_rough_omega(x, y)
         for k, n in want.items():
             assert hist[k] == n, (x, y, k)
@@ -121,10 +121,9 @@ def test_rough_omega_histogram_brute(sieve_small):
         assert hist.sum() == rough_count(x, y, sieve_small)
 
 
-def test_histogram_invariant_under_workers(sieve_small):
-    base = rough_omega_histogram(20_000, 7, sieve_small)
-    again = rough_omega_histogram(20_000, 7, sieve_small,
-                                  segment_length=331, workers=8)
+def test_histogram_invariant_under_workers():
+    base = rough_omega_histogram(20_000, 7)
+    again = rough_omega_histogram(20_000, 7, segment_length=331, workers=8)
     assert np.array_equal(base, again)
 
 
@@ -137,21 +136,19 @@ def test_histogram_bytes_independent_of_segments_and_workers():
             assert got.tobytes() == base, (seg, workers)
 
 
-def test_twisted_sum_tiny_closed_form(sieve_small):
+def test_twisted_sum_tiny_closed_form():
     """x = 10, y = 2: the 2-rough n are 1, 3, 5, 7, 9 so the generating
     polynomial in beta is 1 + 3 beta + beta^2."""
     for beta in (1.0, 0.5, 0.25 + 0.5j, -1.0):
-        val = exact_twisted_sum(TwistedSumParams(10, 2.0, beta), sieve_small)
+        val = exact_twisted_sum(TwistedSumParams(10, 2.0, beta))
         assert val == pytest.approx(1 + 3 * beta + beta ** 2, abs=1e-12)
 
 
 def test_twisted_sum_beta_edge_cases(sieve_small):
     x = 10_000
-    assert exact_twisted_sum(
-        TwistedSumParams(x, 5.0, 1.0), sieve_small) == pytest.approx(
-            rough_count(x, 5, sieve_small))
-    assert exact_twisted_sum(
-        TwistedSumParams(x, 5.0, 0.0), sieve_small) == pytest.approx(1.0)
+    assert exact_twisted_sum(TwistedSumParams(x, 5.0, 1.0)) == pytest.approx(
+        rough_count(x, 5, sieve_small))
+    assert exact_twisted_sum(TwistedSumParams(x, 5.0, 0.0)) == pytest.approx(1.0)
 
 
 def test_twisted_sum_bounded_by_rough_count(sieve_small):
@@ -160,8 +157,7 @@ def test_twisted_sum_bounded_by_rough_count(sieve_small):
     for y in (3, 10):
         cap = rough_count(x, y, sieve_small)
         for beta in (1j, -0.8, 0.6 + 0.8j, cmath.exp(2j)):
-            val = exact_twisted_sum(TwistedSumParams(x, float(y), beta),
-                                    sieve_small)
+            val = exact_twisted_sum(TwistedSumParams(x, float(y), beta))
             assert abs(val) <= cap + 1e-9
 
 
@@ -246,8 +242,8 @@ def test_g_one_tail_estimate_decreases():
     assert est[0] > est[1] > est[2] > 0
 
 
-def test_convergence_scan_structure(sieve_small):
-    rows = convergence_scan(1.0, [1_000, 10_000, 20_000], 10.0, sieve_small)
+def test_convergence_scan_structure():
+    rows = convergence_scan(1.0, [1_000, 10_000, 20_000], 10.0)
     assert [r.params.x for r in rows] == [1_000, 10_000, 20_000]
     for r in rows:
         assert r.ratio is not None
