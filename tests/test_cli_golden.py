@@ -12,6 +12,7 @@ After a deliberate change of output, recapture with
 and review the diff of tests/golden/ like any other change.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -65,12 +66,32 @@ CASES = {
     "twisted_sum_coprime": ["twisted-sum", "--x", "1e5", "--q", "12", "--index", "1",
                             "--filter", "coprime-only", "--segment-length", "997",
                             "--workers", "2"],
+    "twisted_sum_x1_csv": ["twisted-sum", "--x", "1", "--q", "7", "--index", "3",
+                           "--format", "csv"],
     "eta_table_q15": ["eta-table", "--q", "15"],
+    "eta_table_q15_csv": ["eta-table", "--q", "15", "--format", "csv"],
+    "rho_table_q15": ["rho-table", "--q", "15"],
     "rho_table_q15_csv": ["rho-table", "--q", "15", "--format", "csv"],
+    # verification checks and point counts
+    "verify_s_set": ["verify-s-set"],
+    "verify_s_set_q35_csv": ["verify-s-set", "--q", "35", "--format", "csv"],
+    "weil_check": ["weil-check", "--ell", "5", "--e", "2"],
+    "weil_check_csv": ["weil-check", "--ell", "7", "--e", "2", "--format", "csv"],
+    "v_count": ["v-count", "--q", "45", "--w", "2"],
+    "v_count_arity2_csv": ["v-count", "--q", "35", "--w", "3", "--arity", "2",
+                           "--format", "csv"],
+    "lift_count": ["lift-count", "--ell", "5"],
+    "lift_count_csv": ["lift-count", "--ell", "7", "--format", "csv"],
+    "curve_count": ["curve-count", "--ell", "11"],
+    "curve_count_sigma_csv": ["curve-count", "--ell", "13", "--which", "sigma-product",
+                              "--w", "3", "--format", "csv"],
     # rough sums, Euler products, prime reciprocals
     "lsd_scan": ["lsd-scan", "--beta", "0.5+0.5j", "--Y", "7", "--x-grid", "1000,1e4,1e5"],
     "lsd_scan_csv": ["lsd-scan", "--beta", "0.3", "--Y", "11", "--x-grid", "1e4,1e5",
                      "--segment-length", "997", "--workers", "2", "--format", "csv"],
+    "lsd_scan_beta0": ["lsd-scan", "--beta", "0", "--Y", "7", "--x-grid", "1000,1e4"],
+    "lsd_scan_beta0_csv": ["lsd-scan", "--beta", "0", "--Y", "7", "--x-grid", "1000,1e4",
+                           "--format", "csv"],
     "g_one": ["g-one", "--Y", "7", "--beta", "0.5", "--p-max", "1e5"],
     "g_one_csv": ["g-one", "--Y", "11", "--beta", "0.3+0.4j", "--p-max", "1e4",
                   "--format", "csv"],
@@ -136,6 +157,17 @@ def test_cli_bytes_match_golden(tmp_path, name):
         assert got[part] == (path.read_bytes() if path.exists() else b"")
     path = _path(name, "file")
     assert got["file"] == (path.read_bytes() if path.exists() else None)
+
+
+def test_every_subcommand_pinned_in_both_formats():
+    """Each subcommand has a successful case in JSON and one in CSV, so a
+    new subcommand cannot go without pinned bytes."""
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    pinned = {(argv[0], "csv" if "csv" in argv else "json")
+              for name, argv in CASES.items() if codes[name] == 0}
+    assert {(c, f) for c in sub.choices for f in ("json", "csv")} - pinned == set()
 
 
 def capture() -> None:
