@@ -196,6 +196,8 @@ def map_segments(start: int, stop: int, segment_length: int,
     independent and the merge order is fixed, so reductions over the returned
     list are bit-identical for any worker count.
     """
+    if workers < 1:
+        raise OutOfRangeError(f"workers must be at least 1, got {workers}")
     segs = segment_bounds(start, stop, segment_length)
     if workers <= 1 or len(segs) <= 1:
         return [fn(lo, hi) for lo, hi in segs]

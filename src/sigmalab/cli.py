@@ -95,11 +95,20 @@ def _parse_complex(text: str) -> complex:
         ) from exc
 
 
+class _EmptyListError(Exception):
+    """A list flag with no entries.  Not a ValueError, so argparse passes
+    it on to main, which reports it like a bad value found after parsing:
+    one line, exit 2."""
+
+
 def _parse_int_list(text: str) -> list[int]:
     try:
-        return [_parse_int(part) for part in text.split(",") if part.strip()]
+        values = [_parse_int(part) for part in text.split(",") if part.strip()]
     except argparse.ArgumentTypeError as exc:
         raise argparse.ArgumentTypeError(f"bad list {text!r}: {exc}") from exc
+    if not values:
+        raise _EmptyListError(f"bad list {text!r}: no entries")
+    return values
 
 
 def _json_safe(value: Any) -> Any:
@@ -784,14 +793,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except ResourceBudgetError as exc:
         print(f"sigmalab: resource budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except (argparse.ArgumentTypeError, OutOfRangeError, UnsupportedModulusError) as exc:
+    except (argparse.ArgumentTypeError, OutOfRangeError, UnsupportedModulusError,
+            _EmptyListError) as exc:
         print(f"sigmalab: {exc}", file=sys.stderr)
         return 2
 

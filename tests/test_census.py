@@ -90,6 +90,13 @@ def test_census_workers_and_segments_identical():
         assert again.counts == base.counts
 
 
+@pytest.mark.parametrize("workers", [0, -2])
+def test_census_refuses_workers_below_one(workers):
+    """A worker count below 1 is refused, not run as one worker."""
+    with pytest.raises(OutOfRangeError, match="workers"):
+        census(100, build_modulus(5), workers=workers)
+
+
 @pytest.mark.parametrize("x, q, segment_length, workers, bound", [
     pytest.param(200_000, 1_000_003, 4096, 2, (2 + 2) * 8 * 1_000_003, id="sparse"),
     pytest.param(40 * 8192, 8191, 8192, 1, (1 + 6 * 1) * 8 * 8192, id="dense-1"),

@@ -301,12 +301,16 @@ def test_census_csv_bytes_pinned(tmp_path):
     ["twisted-sum", "--x", "1000", "--q", "7", "--index", "-1"],
     ["prime-recip", "--x", "100", "--q", "5", "--coeffs", ""],
     ["prime-recip", "--x", "100", "--q", "5", "--coeffs", "3"],
+    ["census", "--x", "100", "--q", "5", "--workers", "-2"],
+    ["census", "--x", "100", "--q", "5", "--workers", "0"],
+    ["lsd-scan", "--beta", "0.5", "--Y", "7", "--x-grid", ","],
 ])
 def test_exit_code_2_beyond_int64_range(capsys, argv):
     """Arguments out of range give one line and exit 2, never a traceback:
     x whose integers do not fit in int64 (refused before any prime table
     is allocated), a segment length below 1, a character index outside
-    0..φ(q) − 1 and a constant polynomial."""
+    0..φ(q) − 1, a worker count below 1, an empty list and a constant
+    polynomial."""
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("sigmalab: ")

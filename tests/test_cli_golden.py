@@ -121,6 +121,8 @@ CASES = {
     "error_lsd_1e19": ["lsd-scan", "--beta", "0.5", "--Y", "7", "--x-grid", "1000,1e19"],
     "error_witness_1e19": ["witness-sqfree", "--Y", "7", "--x", "1e19"],
     "error_witness_no_primes": ["witness-even", "--Y", "4", "--x", "1e4"],
+    "error_workers_negative": ["census", "--x", "100", "--q", "5", "--workers", "-2"],
+    "error_x_grid_empty": ["lsd-scan", "--beta", "0.5", "--Y", "7", "--x-grid", ","],
     "error_budget": ["census", "--x", "1e4", "--q", "5", "--memory-budget", "100"],
 }
 
