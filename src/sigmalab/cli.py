@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Every subcommand is a thin, deterministic wrapper over one library
-operation: parse flags, run, emit JSON (default) or CSV.  There is no
-randomness anywhere, so identical flags and tool version produce
-byte-identical output; the worker count only changes wall time, never
+operation: parse flags, run, emit one payload as JSON (default) or CSV.
+A CSV header lists payload fields, with re_/im_/abs_ parts of complex
+values; census writes one row per class.  There is no randomness
+anywhere, so identical flags and tool version produce byte-identical
+output; the worker count (at least 1) only changes wall time, never
 bytes.  Numeric flags accept scientific notation (--x 1e7).
 
 Exit codes: 0 success, 1 a verification-style subcommand found a
@@ -45,11 +47,7 @@ from .charsums import (
 )
 from .errors import OutOfRangeError, ResourceBudgetError, UnsupportedModulusError
 from .factor import DEFAULT_MEMORY_BUDGET
-from .lsd import (
-    TwistedSumParams,
-    convergence_scan,
-    g_one_euler_product,
-)
+from .lsd import convergence_scan, g_one_euler_product
 from .varieties import (
     curve_point_count,
     lift_count_mod_ell_squared,
@@ -121,7 +119,7 @@ def _json_safe(value: Any) -> Any:
         return {"numerator": value.numerator, "denominator": value.denominator,
                 "float": float(value)}
     if isinstance(value, complex):
-        return {"re": value.real, "im": value.imag}
+        return _json_safe({"re": value.real, "im": value.imag, "abs": abs(value)})
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (np.integer,)):
@@ -191,56 +189,68 @@ class _IntMap:
         stream.write("\n  }")
 
 
-class _Output:
-    """Writer for one run: JSON object or commented CSV."""
+# A CSV cell read from a complex value names the part it wants.
+_COMPLEX_PARTS = {"re": lambda z: z.real, "im": lambda z: z.imag, "abs": abs}
+# Cells the csv module writes as they are (None as a blank).
+_PLAIN_CELLS = {int, float, str, bool, type(None)}
 
-    def __init__(self, args: argparse.Namespace, command: str) -> None:
-        self.fmt = getattr(args, "format", "json")
-        self.path = getattr(args, "output", None)
-        self.command = command
-        self.config = _config_echo(args)
 
-    def _open(self):
-        if self.path:
-            return open(self.path, "w", newline="", encoding="utf-8")
-        return sys.stdout
+def _cell(value: Any, path: Sequence[str]) -> Any:
+    """The CSV cell at a dotted path into a row record: a complex value
+    yields its re, im or abs part, a Fraction is written as a float, a
+    sequence as its entries joined by ';', and None as a blank."""
+    for key in path:
+        if value is None:
+            break
+        value = _COMPLEX_PARTS[key](value) if isinstance(value, complex) else value[key]
+    if type(value) in _PLAIN_CELLS:
+        return value
+    if isinstance(value, Fraction):
+        return float(value)
+    if isinstance(value, (list, tuple)):
+        return ";".join(map(str, value))
+    return value
 
-    def write(self, payload: dict[str, Any], header: Sequence[str],
-              rows: Iterable[Sequence[Any]], description: str) -> None:
-        """Top-level _IntMap payload values appear in JSON only; rows are
-        consumed only for CSV."""
-        stream = self._open()
-        try:
-            if self.fmt == "json":
-                doc = {
-                    "tool": "sigmalab",
-                    "version": __version__,
-                    "command": self.command,
-                    "config": _json_safe(self.config),
-                }
-                maps = {k: v for k, v in payload.items() if isinstance(v, _IntMap)}
-                doc.update(_json_safe({k: v for k, v in payload.items() if k not in maps}))
-                # A NUL-led string marks each map's place; no flag value can
-                # hold a NUL character.
-                doc.update({k: "\0" + k for k in maps})
-                text = json.dumps(doc, sort_keys=True, indent=2)
-                for key in sorted(maps):
-                    head, text = text.split(json.dumps("\0" + key), 1)
-                    stream.write(head)
-                    maps[key].write_json(stream)
-                stream.write(text)
-                stream.write("\n")
-            else:
-                cfg = " ".join(f"{k}={v}" for k, v in sorted(self.config.items()))
-                stream.write(f"# sigmalab {__version__} {self.command}: "
-                             f"{description} [{cfg}]\r\n")
-                writer = csv.writer(stream)
-                writer.writerow(header)
-                for row in rows:
-                    writer.writerow(["" if v is None else v for v in row])
-        finally:
-            if self.path:
-                stream.close()
+
+def _emit(args: argparse.Namespace, payload: dict[str, Any], columns: Sequence[str],
+          description: str, rows: Optional[Iterable[Any]] = None) -> None:
+    """Write one run: the payload as a JSON object, or a commented CSV.
+
+    Each column spec is "name" or "name=dotted.path" and reads one cell
+    of every row record; the records are the payload itself unless rows
+    are given.  Top-level _IntMap payload values appear in JSON only.
+    """
+    config = _config_echo(args)
+    stream = (open(args.output, "w", newline="", encoding="utf-8") if args.output
+              else sys.stdout)
+    try:
+        if args.format == "json":
+            doc = {"tool": "sigmalab", "version": __version__, "command": args.command,
+                   "config": _json_safe(config)}
+            maps = {k: v for k, v in payload.items() if isinstance(v, _IntMap)}
+            doc.update(_json_safe({k: v for k, v in payload.items() if k not in maps}))
+            # A NUL-led string marks each map's place; no flag value can
+            # hold a NUL character.
+            doc.update({k: "\0" + k for k in maps})
+            text = json.dumps(doc, sort_keys=True, indent=2)
+            for key in sorted(maps):
+                head, text = text.split(json.dumps("\0" + key), 1)
+                stream.write(head)
+                maps[key].write_json(stream)
+            stream.write(text + "\n")
+        else:
+            cfg = " ".join(f"{k}={v}" for k, v in sorted(config.items()))
+            stream.write(f"# sigmalab {__version__} {args.command}: "
+                         f"{description} [{cfg}]\r\n")
+            specs = [spec.partition("=") for spec in columns]
+            paths = [(path or name).split(".") for name, _, path in specs]
+            writer = csv.writer(stream)
+            writer.writerow([name for name, _, _ in specs])
+            writer.writerows([_cell(record, path) for path in paths]
+                             for record in ([payload] if rows is None else rows))
+    finally:
+        if args.output:
+            stream.close()
 
 
 def _add_common(parser: argparse.ArgumentParser, parallel: bool = False) -> None:
@@ -272,10 +282,10 @@ def _budget(args: argparse.Namespace) -> int:
     return DEFAULT_MEMORY_BUDGET
 
 
-def _modulus(args: argparse.Namespace, q: Optional[int] = None) -> Modulus:
+def _modulus(args: argparse.Namespace) -> Modulus:
     # Residue tables, unit masks, and class counters cost roughly 64
     # bytes per residue class across the pipeline.
-    return Modulus(q if q is not None else args.q, modulus_cap=_budget(args) // 64)
+    return Modulus(args.q, modulus_cap=_budget(args) // 64)
 
 
 def _add_filter(parser: argparse.ArgumentParser) -> None:
@@ -303,10 +313,6 @@ def _census_filter(args: argparse.Namespace) -> CensusFilter:
     return CensusFilter.all_integers()
 
 
-def _complex_fields(z: complex) -> dict[str, float]:
-    return {"re": z.real, "im": z.imag, "abs": abs(z)}
-
-
 # ---------------------------------------------------------------- census
 
 def _cmd_census(args: argparse.Namespace) -> int:
@@ -315,27 +321,26 @@ def _cmd_census(args: argparse.Namespace) -> int:
     report = census(args.x, m, f, segment_length=args.segment_length,
                     workers=args.workers)
     total = report.total_coprime
-    disc = report.max_rel_deviation if total > 0 else None
     phi = len(report.counts)
     payload = {
         "x": report.x,
         "q": report.q,
-        "filter": {"kind": f.kind, "k": f.k, "threshold": f.threshold},
+        "filter": vars(f),
         "counts": _IntMap(report.counts.key_array, report.counts.value_array),
         "total": total,
         "mean": report.mean if total > 0 else None,
-        "discrepancy": disc,
+        "discrepancy": report.max_rel_deviation if total > 0 else None,
         "alpha": report.alpha,
         "alpha_tilde": report.alpha_tilde,
         "exponent_used": report.exponent_used,
     }
-    rows = ([a, c, c / total if total else None,
-             (c * phi / total - 1.0) if total else None]
+    # The one CSV that is not a view of the payload: a row per class.
+    rows = ({"class": a, "count": c, "share": c / total if total else None,
+             "rel_deviation": (c * phi / total - 1.0) if total else None}
             for a, c in report.counts.items())
-    out = _Output(args, "census")
-    out.write(payload, ["class", "count", "share", "rel_deviation"], rows,
-              f"classes of sigma(n) mod {report.q} among units, n <= {report.x}, "
-              f"filter {f.describe()}")
+    _emit(args, payload, ["class", "count", "share", "rel_deviation"],
+          f"classes of sigma(n) mod {report.q} among units, n <= {report.x}, "
+          f"filter {f.describe()}", rows)
     return 0
 
 
@@ -347,27 +352,19 @@ def _cmd_twisted_sum(args: argparse.Namespace) -> int:
     f = _census_filter(args)
     value = twisted_partial_sum(args.x, chi, f, segment_length=args.segment_length,
                                 workers=args.workers)
-    logx = math.log(args.x) if args.x > 1 else float("nan")
-    normalized = abs(value) * logx / args.x if args.x > 1 else None
     payload = {
         "x": args.x,
         "q": m.q,
-        "character": {
-            "index": chi.index,
-            "exponents": list(chi.exponents),
-            "order": chi.order,
-            "conductor": chi.conductor,
-            "principal": chi.is_principal,
-        },
-        "sum": _complex_fields(value),
-        "normalized_abs": normalized,
-        "filter": {"kind": f.kind, "k": f.k, "threshold": f.threshold},
+        "character": {"index": chi.index, "exponents": chi.exponents, "order": chi.order,
+                      "conductor": chi.conductor, "principal": chi.is_principal},
+        "sum": value,
+        "normalized_abs": abs(value) * math.log(args.x) / args.x if args.x > 1 else None,
+        "filter": vars(f),
     }
-    rows = [[args.x, m.q, chi.index, value.real, value.imag, abs(value), normalized]]
-    out = _Output(args, "twisted-sum")
-    out.write(payload, ["x", "q", "index", "re_sum", "im_sum", "abs_sum",
-                        "abs_times_logx_over_x"], rows,
-              f"sum of chi(sigma(n)) over n <= {args.x}, chi #{chi.index} mod {m.q}")
+    _emit(args, payload, ["x", "q", "index=character.index", "re_sum=sum.re",
+                          "im_sum=sum.im", "abs_sum=sum.abs",
+                          "abs_times_logx_over_x=normalized_abs"],
+          f"sum of chi(sigma(n)) over n <= {args.x}, chi #{chi.index} mod {m.q}")
     return 0
 
 
@@ -377,27 +374,13 @@ def _cmd_character_table(args: argparse.Namespace) -> int:
     m = _modulus(args)
     rho = args.command == "rho-table"
     table = rho_table(m) if rho else eta_table(m)
-    rows = []
-    json_rows = []
-    for row in table:
-        value = row.value
-        rows.append([row.index, ";".join(str(e) for e in row.exponents),
-                     row.order, row.conductor, value.real, value.imag, abs(value)])
-        json_rows.append({
-            "index": row.index,
-            "exponents": list(row.exponents),
-            "order": row.order,
-            "conductor": row.conductor,
-            "value": _complex_fields(value),
-        })
-    payload = {"q": m.q, "phi": m.phi, "rows": json_rows,
+    payload = {"q": m.q, "phi": m.phi, "rows": [vars(row) for row in table],
                "alpha": m.alpha, "alpha_tilde": m.alpha_tilde}
     label = ("mean of chi(v+1) over units v" if rho
              else "mean of chi(v^2+v+1) over units v")
-    out = _Output(args, args.command)
-    out.write(payload, ["index", "exponents", "order", "conductor",
-                        "re", "im", "abs"], rows,
-              f"{label}, all characters mod {m.q}")
+    _emit(args, payload, ["index", "exponents", "order", "conductor",
+                          "re=value.re", "im=value.im", "abs=value.abs"],
+          f"{label}, all characters mod {m.q}", payload["rows"])
     return 0
 
 
@@ -406,27 +389,11 @@ def _cmd_character_table(args: argparse.Namespace) -> int:
 def _cmd_verify_s_set(args: argparse.Namespace) -> int:
     m = _modulus(args) if args.q is not None else None
     report = verify_s_set(m)
-    rows = [[r.conductor, r.denominator, r.num_primitive, r.max_re_sum,
-             r.normalized, r.attains_quarter] for r in report.rows]
-    payload = {
-        "rows": [{
-            "conductor": r.conductor,
-            "denominator": r.denominator,
-            "num_primitive": r.num_primitive,
-            "max_re_sum": r.max_re_sum,
-            "normalized": r.normalized,
-            "attains_quarter": r.attains_quarter,
-        } for r in report.rows],
-        "global_max": report.global_max,
-        "within_quarter": report.within_quarter,
-        "attaining": list(report.attaining),
-        "restricted_to_divisors_of": report.restricted_to_divisors_of,
-    }
-    out = _Output(args, "verify-s-set")
-    out.write(payload, ["conductor", "denominator", "num_primitive",
-                        "max_re_sum", "normalized", "attains_quarter"], rows,
-              "normalized maxima of Re sum of psi(v^2+v+1) over the "
-              "exceptional conductors")
+    payload = {**vars(report), "rows": [vars(r) for r in report.rows]}
+    _emit(args, payload, ["conductor", "denominator", "num_primitive",
+                          "max_re_sum", "normalized", "attains_quarter"],
+          "normalized maxima of Re sum of psi(v^2+v+1) over the "
+          "exceptional conductors", payload["rows"])
     return 0 if report.within_quarter else 1
 
 
@@ -434,25 +401,10 @@ def _cmd_verify_s_set(args: argparse.Namespace) -> int:
 
 def _cmd_weil_check(args: argparse.Namespace) -> int:
     report = weil_clz_check(args.ell, args.e)
-    payload = {
-        "ell": report.ell,
-        "e": report.e,
-        "modulus": report.modulus,
-        "bound": report.bound,
-        "num_primitive": report.num_primitive,
-        "max_abs": report.max_abs,
-        "max_ratio": report.max_ratio,
-        "worst_index": report.worst_index,
-        "all_within": report.all_within,
-    }
-    rows = [[report.ell, report.e, report.modulus, report.bound,
-             report.num_primitive, report.max_abs, report.max_ratio,
-             report.all_within]]
-    out = _Output(args, "weil-check")
-    out.write(payload, ["ell", "e", "modulus", "bound", "num_primitive",
-                        "max_abs", "max_ratio", "all_within"], rows,
-              f"square-root cancellation of complete sums of chi(v^2+v+1) "
-              f"mod {args.ell}^{args.e}")
+    _emit(args, vars(report), ["ell", "e", "modulus", "bound", "num_primitive",
+                               "max_abs", "max_ratio", "all_within"],
+          f"square-root cancellation of complete sums of chi(v^2+v+1) "
+          f"mod {args.ell}^{args.e}")
     return 0 if report.all_within else 1
 
 
@@ -462,27 +414,21 @@ def _cmd_lsd_scan(args: argparse.Namespace) -> int:
     results = convergence_scan(args.beta, args.x_grid, args.y,
                                segment_length=args.segment_length,
                                workers=args.workers)
-    rows = []
-    json_rows = []
-    for r in results:
-        rows.append([r.params.x, r.params.y, r.params.beta.real,
-                     r.params.beta.imag, r.exact.real, r.exact.imag,
-                     r.main_term.real, r.main_term.imag,
-                     abs(r.ratio) if r.ratio is not None else None])
-        json_rows.append({
-            "x": r.params.x,
-            "y": r.params.y,
-            "beta": _complex_fields(r.params.beta),
-            "exact": _complex_fields(r.exact),
-            "main_term": _complex_fields(r.main_term),
-            "ratio": _complex_fields(r.ratio) if r.ratio is not None else None,
-            "meets_size_hypothesis": r.params.meets_size_hypothesis,
-        })
-    payload = {"rows": json_rows}
-    out = _Output(args, "lsd-scan")
-    out.write(payload, ["x", "y", "re_beta", "im_beta", "re_exact", "im_exact",
-                        "re_main", "im_main", "abs_ratio"], rows,
-              "exact twisted rough sums against their asymptotic main terms")
+    payload = {"rows": [{
+        "x": r.params.x,
+        "y": r.params.y,
+        "beta": r.params.beta,
+        "exact": r.exact,
+        "main_term": r.main_term,
+        "ratio": r.ratio,
+        "meets_size_hypothesis": r.params.meets_size_hypothesis,
+    } for r in results]}
+    _emit(args, payload, ["x", "y", "re_beta=beta.re", "im_beta=beta.im",
+                          "re_exact=exact.re", "im_exact=exact.im",
+                          "re_main=main_term.re", "im_main=main_term.im",
+                          "abs_ratio=ratio.abs"],
+          "exact twisted rough sums against their asymptotic main terms",
+          payload["rows"])
     return 0
 
 
@@ -490,19 +436,10 @@ def _cmd_lsd_scan(args: argparse.Namespace) -> int:
 
 def _cmd_g_one(args: argparse.Namespace) -> int:
     result = g_one_euler_product(args.y, args.beta, args.p_max)
-    payload = {
-        "y": result.y,
-        "beta": _complex_fields(result.beta),
-        "p_max": result.p_max,
-        "value": _complex_fields(result.value),
-        "tail_estimate": result.tail_estimate,
-    }
-    rows = [[result.y, result.beta.real, result.beta.imag, result.p_max,
-             result.value.real, result.value.imag, result.tail_estimate]]
-    out = _Output(args, "g-one")
-    out.write(payload, ["y", "re_beta", "im_beta", "p_max", "re_value",
-                        "im_value", "tail_estimate"], rows,
-              "Euler product (1-1/p)^beta [p<=y] * (1-1/p)^beta/(1-beta/p) [p>y]")
+    _emit(args, vars(result), ["y", "re_beta=beta.re", "im_beta=beta.im", "p_max",
+                               "re_value=value.re", "im_value=value.im",
+                               "tail_estimate"],
+          "Euler product (1-1/p)^beta [p<=y] * (1-1/p)^beta/(1-beta/p) [p>y]")
     return 0
 
 
@@ -511,46 +448,29 @@ def _cmd_g_one(args: argparse.Namespace) -> int:
 def _cmd_v_count(args: argparse.Namespace) -> int:
     m = _modulus(args)
     result = v_count(m, args.w, args.arity, work_budget=_budget(args) // 8)
-    payload = {"q": result.q, "w": result.w, "arity": result.arity,
-               "count": result.count, "phi": m.phi}
-    rows = [[result.q, result.w, result.arity, result.count]]
-    out = _Output(args, "v-count")
-    out.write(payload, ["q", "w", "arity", "count"], rows,
-              f"unit tuples with product of v_j^2+v_j+1 hitting {result.w} mod {result.q}")
+    _emit(args, {**vars(result), "phi": m.phi}, ["q", "w", "arity", "count"],
+          f"unit tuples with product of v_j^2+v_j+1 hitting {result.w} mod {result.q}")
     return 0
 
 
 def _cmd_lift_count(args: argparse.Namespace) -> int:
     count = lift_count_mod_ell_squared(args.ell)
     pp = args.ell * args.ell
-    target = 9 * pow(16, -1, pp) % pp
-    payload = {"ell": args.ell, "modulus": pp, "target": target,
+    payload = {"ell": args.ell, "modulus": pp, "target": 9 * pow(16, -1, pp) % pp,
                "count": count, "count_over_ell_squared": count / pp}
-    rows = [[args.ell, pp, target, count, count / pp]]
-    out = _Output(args, "lift-count")
-    out.write(payload, ["ell", "modulus", "target", "count",
-                        "count_over_ell_squared"], rows,
-              f"unit pairs mod {args.ell}^2 whose sigma-product hits 9/16")
+    _emit(args, payload, ["ell", "modulus", "target", "count",
+                          "count_over_ell_squared"],
+          f"unit pairs mod {args.ell}^2 whose sigma-product hits 9/16")
     return 0
 
 
 def _cmd_curve_count(args: argparse.Namespace) -> int:
     result = curve_point_count(args.ell, args.which, args.w)
-    deviation = (result.count - result.ell) / math.sqrt(result.ell)
-    payload = {
-        "ell": result.ell,
-        "which": result.which,
-        "w": result.w,
-        "count": result.count,
-        "deviation_over_sqrt_ell": deviation,
-        "bound_certified": result.bound_certified,
-    }
-    rows = [[result.ell, result.which, result.w, result.count, deviation,
-             result.bound_certified]]
-    out = _Output(args, "curve-count")
-    out.write(payload, ["ell", "which", "w", "count", "deviation_over_sqrt_ell",
-                        "bound_certified"], rows,
-              "exact point count of the witness curve over F_ell")
+    payload = {**vars(result), "deviation_over_sqrt_ell":
+               (result.count - result.ell) / math.sqrt(result.ell)}
+    _emit(args, payload, ["ell", "which", "w", "count", "deviation_over_sqrt_ell",
+                          "bound_certified"],
+          "exact point count of the witness curve over F_ell")
     return 0
 
 
@@ -569,32 +489,13 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     construct, description = _WITNESSES[args.command]
     report = construct(args.y, args.x, segment_length=args.segment_length,
                        workers=args.workers)
-    payload = {
-        "kind": report.kind,
-        "q": report.q,
-        "Y": report.y_cut,
-        "x": report.x,
-        "witness_class": report.witness_class,
-        "witness_count": report.witness_count,
-        "crt_count": report.crt_count,
-        "direct_count": report.direct_count,
-        "routes_agree": report.crt_count == report.direct_count,
-        "num_prime_classes": report.num_prime_classes,
-        "census_class_count": report.census_class_count,
-        "census_total": report.census_total,
-        "mean_count": report.mean_count,
-        "ratio": report.ratio,
-        "census_note": report.census_note,
-    }
-    rows = [[report.q, report.y_cut, report.x, report.witness_class,
-             report.witness_count, report.crt_count, report.direct_count,
-             report.census_class_count, report.census_total,
-             report.mean_count, report.ratio]]
-    out = _Output(args, args.command)
-    out.write(payload, ["q", "Y", "x", "witness_class", "witness_count", "crt_count",
-                        "direct_count", "census_class_count", "census_total",
-                        "mean_count", "ratio"], rows, description)
-    return 0 if report.crt_count == report.direct_count else 1
+    agree = report.crt_count == report.direct_count
+    payload = {**vars(report), "routes_agree": agree}
+    payload["Y"] = payload.pop("y_cut")
+    _emit(args, payload, ["q", "Y", "x", "witness_class", "witness_count", "crt_count",
+                          "direct_count", "census_class_count", "census_total",
+                          "mean_count", "ratio"], description)
+    return 0 if agree else 1
 
 
 # -------------------------------------------------------------- prime-recip
@@ -604,7 +505,6 @@ def _cmd_prime_recip(args: argparse.Namespace) -> int:
     poly = PolynomialSpec(tuple(args.coeffs))
     value = prime_reciprocal_sum(poly, m, args.x)
     loglog = math.log(math.log(args.x))
-    density = alpha_F(poly, m)
     payload = {
         "x": args.x,
         "q": m.q,
@@ -612,14 +512,11 @@ def _cmd_prime_recip(args: argparse.Namespace) -> int:
         "sum": value,
         "loglog_x": loglog,
         "sum_over_loglog_x": value / loglog if loglog > 0 else None,
-        "unit_density": density,
+        "unit_density": alpha_F(poly, m),
     }
-    rows = [[args.x, m.q, str(poly), value, loglog,
-             value / loglog if loglog > 0 else None, float(density)]]
-    out = _Output(args, "prime-recip")
-    out.write(payload, ["x", "q", "polynomial", "sum", "loglog_x",
-                        "sum_over_loglog_x", "unit_density"], rows,
-              f"sum of 1/p over p <= {args.x} with {poly} coprime to {m.q}")
+    _emit(args, payload, ["x", "q", "polynomial", "sum", "loglog_x",
+                          "sum_over_loglog_x", "unit_density"],
+          f"sum of 1/p over p <= {args.x} with {poly} coprime to {m.q}")
     return 0
 
 

@@ -237,12 +237,12 @@ def test_census_json_is_json_dumps_of_plain_dict(tmp_path, x, q, k, threshold):
 def test_output_splices_int_map(tmp_path):
     """An _IntMap among other payload keys, empty or not, gives the bytes of
     json.dumps over the equivalent dict."""
-    args = argparse.Namespace(format="json", output=str(tmp_path / "m.json"))
+    args = argparse.Namespace(format="json", output=str(tmp_path / "m.json"),
+                              command="test")
     keys = np.array([7, 10, 2, 100], np.int64)
     for n in (0, 4):
-        cli._Output(args, "test").write(
-            {"a": 1, "counts": cli._IntMap(keys[:n], keys[:n] * 3), "z": None},
-            [], [], "")
+        cli._emit(args, {"a": 1, "counts": cli._IntMap(keys[:n], keys[:n] * 3),
+                         "z": None}, [], "")
         want = {"tool": "sigmalab", "version": sigmalab.__version__,
                 "command": "test", "config": {"format": "json"}, "a": 1,
                 "counts": {str(k): 3 * k for k in keys[:n].tolist()}, "z": None}
