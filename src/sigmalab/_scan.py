@@ -2,16 +2,30 @@
 validated setup that every scan runs and that supplies its primes ≤ √x,
 and scan_segment, the one segment kernel that every scan runs.
 
-Range: the kernel's int64 values are n ≤ x, n + 1, the found part of n
-(a divisor of n) and products of residues mod q, which stay below q²,
-or below (q − 1)^ω(n) where the per-prime reductions are skipped.  So
+Range and dtypes: on a segment lo ≤ n < hi the kernel holds n, the
+found part of n (a divisor of n) and the cofactor in int32 when
+hi ≤ 2³¹ − 1 and in int64 above; σ(P) = P + 1 ≤ hi for the leftover
+prime P fits the same width, and it is reduced mod q only when
+q ≤ hi, so an int32 array never meets a q beyond int32.  σ mod q and
+its factor buffer are int64: products of residues stay below q², or
+below (q − 1)^ω(n) where the per-prime reductions are skipped.  So
 every value fits when x ≤ MAX_SCAN_X and q ≤ MAX_SCAN_Q, and
 check_scan_range refuses the rest before any table is built.
+
+Reuse: each thread keeps one set of kernel arrays (σ, the factor
+buffer, n and its cofactor, the found part, a spare, the leftover
+mask, the large counts and the rough mask), grown on demand and reused
+by every segment it scans, so once the set has grown no segment
+allocates a segment-long array.  The arrays scan_segment returns are views of them, valid
+until the same thread's next scan_segment call.  map_segments drops the
+caller's set when a sequential scan ends, and pool threads drop theirs
+when they exit.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, NamedTuple, Optional
 
@@ -20,6 +34,7 @@ import numpy as np
 from .errors import OutOfRangeError
 
 _INT64_MAX = 2**63 - 1
+_INT32_MAX = 2**31 - 1
 MAX_SCAN_X = _INT64_MAX - 1
 MAX_SCAN_Q = math.isqrt(_INT64_MAX)
 # Their product exceeds 2^63, so they bound ω(n) for every int64 n.
@@ -27,6 +42,8 @@ _FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 
 DEFAULT_SEGMENT_LENGTH = 1 << 20
+# The prefix of n that _fill_range writes with np.arange before doubling it.
+_FILL_BLOCK = 1 << 12
 
 
 def check_scan_range(x: int, q: int = 1) -> None:
@@ -81,6 +98,37 @@ class Segment(NamedTuple):
     cofactor: np.ndarray
 
 
+# Each thread's kernel arrays by name, reused from segment to segment.
+_arrays = threading.local()
+
+
+def _scratch(name: str, size: int, dtype: type) -> np.ndarray:
+    """The first size entries of this thread's kernel array `name`; it is
+    allocated anew only when it is shorter than size or of another dtype."""
+    have = _arrays.__dict__
+    a = have.get(name)
+    if a is None or a.shape[0] < size or a.dtype != dtype:
+        a = have[name] = np.empty(size, dtype=dtype)
+    return a[:size]
+
+
+def release_scratch() -> None:
+    """Drop the calling thread's kernel arrays; views already handed out
+    stay valid."""
+    _arrays.__dict__.clear()
+
+
+def _fill_range(a: np.ndarray, lo: int) -> None:
+    """a[i] = lo + i, by doubling a filled prefix: np.arange into a would
+    first build a temporary as long as a."""
+    done = min(a.shape[0], _FILL_BLOCK)
+    a[:done] = np.arange(lo, lo + done, dtype=a.dtype)
+    while done < a.shape[0]:
+        step = min(done, a.shape[0] - done)
+        np.add(a[:step], done, out=a[done : done + step])
+        done += step
+
+
 def _reduce(a: np.ndarray, q: int, tmp: np.ndarray) -> None:
     """a %= q in place, as a − (a // q)·q: numpy divides a contiguous
     array by a scalar several times faster than it takes the remainder."""
@@ -107,36 +155,50 @@ def scan_segment(
     the cofactor, n over its part on the primes divided out.  σ and the
     count need every prime ≤ √(hi − 1), and then the cofactor is 1 or a
     prime; a cofactor alone may use fewer (the primes ≤ z of a smooth
-    count).
+    count).  The cofactor is int32 when hi ≤ 2³¹ − 1 and int64 above.
+
+    The returned arrays are views of the calling thread's kernel arrays,
+    which every call reuses: they stay valid until the same thread's
+    next scan_segment call, so a caller that keeps one copies it.
 
     Each prime touches basic strided views only: its multiples, and
     inside them the multiples of p², p³, ... (nested strides).  The
     found part acc = ∏ p^e is built in place and divided into n once at
     the end; σ(p^e) mod q comes from one factor buffer per prime, filled
     with σ(p) and overwritten at the deeper multiples.  The leftover
-    prime P adds σ(P) = P + 1 in one pass.  Cache-sized segments with
-    strided marking follow T. Oliveira e Silva's segmented sieve and
-    primesieve.
+    prime P adds σ(P) = P + 1 in one pass.  n, the found part and the
+    cofactor are held in the narrowest integer type that fits hi, so
+    the contiguous passes move half the bytes below 2³¹.  Cache-sized
+    segments with strided marking follow T. Oliveira e Silva's
+    segmented sieve and primesieve.
     """
     size = hi - lo
     top = hi - 1
+    width = np.int32 if hi <= _INT32_MAX else np.int64
     walk = primes[: np.searchsorted(primes, math.isqrt(top), side="right")]
     alive = None
     if rough is not None:
         cut = int(np.searchsorted(walk, math.floor(rough), side="right"))
-        alive = np.ones(size, dtype=bool)
+        alive = _scratch("rough", size, bool)
+        alive.fill(True)
         for p in walk[:cut].tolist():
             alive[-lo % p :: p] = False
         walk = walk[cut:]
-    large = None if above is None else np.zeros(size, dtype=np.int8)
+    large = None
+    if above is not None:
+        large = _scratch("large", size, np.int8)
+        large.fill(0)
     sig = None
     if q is not None:
-        sig = np.full(size, 1 % q, dtype=np.int64)
-        buf = np.empty(size, dtype=np.int64)
+        sig = _scratch("sigma", size, np.int64)
+        sig.fill(1 % q)
+        buf = _scratch("factor", size, np.int64)
         omega_max = sum(math.prod(_FIRST_PRIMES[:k]) <= top for k in range(1, 17))
         reduce_each = (q - 1) ** omega_max > _INT64_MAX
-    rem = np.arange(lo, hi, dtype=np.int64)
-    acc = np.ones(size, dtype=np.int64) if walk.size or q is not None else None
+    rem = _scratch("cofactor", size, width)
+    _fill_range(rem, lo)
+    acc = _scratch("found", size, width)
+    acc.fill(1)
     for p in walk.tolist():
         s = -lo % p
         if s >= size:
@@ -168,16 +230,25 @@ def scan_segment(
                 view %= q
     if walk.size:
         np.floor_divide(rem, acc, out=rem)
+    mask = _scratch("leftover", size, bool)
     if sig is not None:
         # The leftover prime P contributes σ(P) = P + 1; rem = 1 contributes 1.
-        np.add(rem, rem > 1, out=buf)
-        _reduce(buf, q, acc)
-        sig *= buf
-        _reduce(sig, q, acc)
+        # P + 1 ≤ hi, so it needs reducing only when q ≤ hi, and then q fits
+        # the width of rem.
+        np.greater(rem, 1, out=mask)
+        sig_p = _scratch("spare", size, width)
+        np.add(rem, mask, out=sig_p)
+        if q <= hi:
+            _reduce(sig_p, q, acc)
+        sig *= sig_p
+        _reduce(sig, q, buf)
     if large is not None:
-        large += rem > max(above, 1)
+        np.greater(rem, max(above, 1), out=mask)
+        large += mask
     if alive is not None:
-        alive &= (rem == 1) | (rem > rough)
+        np.greater(rem, rough, out=mask)
+        mask |= rem == 1
+        alive &= mask
     return Segment(sig, large, alive, rem)
 
 
@@ -194,12 +265,17 @@ def map_segments(start: int, stop: int, segment_length: int,
 
     The worker count changes wall time only, never the result: segments are
     independent and the merge order is fixed, so reductions over the returned
-    list are bit-identical for any worker count.
+    list are bit-identical for any worker count.  A sequential scan drops
+    the calling thread's kernel arrays when it ends; pool threads drop
+    theirs when they exit, as the pool shuts down.
     """
     if workers < 1:
         raise OutOfRangeError(f"workers must be at least 1, got {workers}")
     segs = segment_bounds(start, stop, segment_length)
     if workers <= 1 or len(segs) <= 1:
-        return [fn(lo, hi) for lo, hi in segs]
+        try:
+            return [fn(lo, hi) for lo, hi in segs]
+        finally:
+            release_scratch()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda seg: fn(*seg), segs))

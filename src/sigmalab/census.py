@@ -5,7 +5,8 @@ how evenly do the values σ(n) mod q spread over the unit classes?  The
 engine streams [1, x] in fixed-length segments through the one segment
 kernel, _scan.scan_segment, which builds σ(n) mod q and the large-factor
 counts for a whole segment from strided prime-power marking (no per-n
-factorization, no big integers): x = 10⁷ takes about half a second.
+factorization, no big integers): x = 10⁷ takes about 0.4 s on one
+worker.
 
 Filters restrict which n enter the census:
 
@@ -49,8 +50,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from ._scan import (check_scan_range, map_segments, plan, primes_up_to, scan_segment,
-                    segment_bounds)
+from ._scan import (check_scan_range, map_segments, plan, primes_up_to, release_scratch,
+                    scan_segment, segment_bounds)
 from .characters import DirichletCharacter, Modulus
 from .charsums import PolynomialSpec
 from .errors import DegenerateCensusError, OutOfRangeError, UnsupportedModulusError
@@ -253,16 +254,20 @@ def iter_sigma_segments(
 
     The σ array aligns with np.arange(lo, hi); the count array (number
     of prime factors > threshold, with multiplicity) is None unless a
-    threshold was given.  Sequential by construction; the parallel
-    census path folds each segment into its class totals instead of
-    exposing it.
+    threshold was given.  Both are the caller's own copies: the kernel's
+    arrays are reused by the next segment.  Sequential by construction;
+    the parallel census path folds each segment into its class totals
+    instead of exposing it.
     """
     x = int(x)
     primes, seg_len = plan(x, q, segment_length)
-    for lo, hi in segment_bounds(1, x + 1, seg_len):
-        seg = scan_segment(lo, hi, primes, q=q, above=threshold)
-        cnt = None if threshold is None else seg.large.astype(np.int64)
-        yield lo, hi, seg.sigma, cnt
+    try:
+        for lo, hi in segment_bounds(1, x + 1, seg_len):
+            seg = scan_segment(lo, hi, primes, q=q, above=threshold)
+            cnt = None if threshold is None else seg.large.astype(np.int64)
+            yield lo, hi, seg.sigma.copy(), cnt
+    finally:
+        release_scratch()
 
 
 def _coprime_mask(lo: int, hi: int, m: Modulus) -> np.ndarray:

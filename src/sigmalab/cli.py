@@ -213,12 +213,15 @@ def _cell(value: Any, path: Sequence[str]) -> Any:
 
 
 def _emit(args: argparse.Namespace, payload: dict[str, Any], columns: Sequence[str],
-          description: str, rows: Optional[Iterable[Any]] = None) -> None:
+          description: str, rows: Optional[Iterable[Any]] = None,
+          cells: Optional[Iterable[Sequence[Any]]] = None) -> None:
     """Write one run: the payload as a JSON object, or a commented CSV.
 
     Each column spec is "name" or "name=dotted.path" and reads one cell
     of every row record; the records are the payload itself unless rows
-    are given.  Top-level _IntMap payload values appear in JSON only.
+    are given.  Rows given as cells are already one plain cell per
+    column and are written as they are.  Top-level _IntMap payload
+    values appear in JSON only.
     """
     config = _config_echo(args)
     stream = (open(args.output, "w", newline="", encoding="utf-8") if args.output
@@ -246,8 +249,10 @@ def _emit(args: argparse.Namespace, payload: dict[str, Any], columns: Sequence[s
             paths = [(path or name).split(".") for name, _, path in specs]
             writer = csv.writer(stream)
             writer.writerow([name for name, _, _ in specs])
-            writer.writerows([_cell(record, path) for path in paths]
-                             for record in ([payload] if rows is None else rows))
+            if cells is None:
+                cells = ([_cell(record, path) for path in paths]
+                         for record in ([payload] if rows is None else rows))
+            writer.writerows(cells)
     finally:
         if args.output:
             stream.close()
@@ -334,13 +339,14 @@ def _cmd_census(args: argparse.Namespace) -> int:
         "alpha_tilde": report.alpha_tilde,
         "exponent_used": report.exponent_used,
     }
-    # The one CSV that is not a view of the payload: a row per class.
-    rows = ({"class": a, "count": c, "share": c / total if total else None,
-             "rel_deviation": (c * phi / total - 1.0) if total else None}
-            for a, c in report.counts.items())
+    # The one CSV that is not a view of the payload: a row per class,
+    # laid out here since there may be millions.
+    cells = ([a, c, c / total if total else None,
+              (c * phi / total - 1.0) if total else None]
+             for a, c in report.counts.items())
     _emit(args, payload, ["class", "count", "share", "rel_deviation"],
           f"classes of sigma(n) mod {report.q} among units, n <= {report.x}, "
-          f"filter {f.describe()}", rows)
+          f"filter {f.describe()}", cells=cells)
     return 0
 
 

@@ -122,6 +122,23 @@ def test_class_totals_memory_bounded_by_workers(x, q, segment_length, workers, b
     assert int(totals.sum()) == census(x, m).total_coprime
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_census_releases_kernel_arrays(workers):
+    """Each thread reuses one set of kernel arrays across segments; a
+    scan's end drops them (the caller's after a sequential scan, the pool
+    threads' as the pool shuts down), so nothing of them stays traced."""
+    m = build_modulus(5)
+    m.unit_mask  # build the lazy table before tracing
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        census(200_000, m, segment_length=8192, workers=workers)
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < 64 * 1024
+
+
 def test_class_totals_sparse_fold_memory():
     """When q exceeds the segment length every segment folds in place:
     no q-length part is built at all, only the total itself."""

@@ -103,6 +103,23 @@ def test_sigma_near_10_12_matches_trial_division(primes_million, offset, size, q
     check_sigma(seg, trial_factorizations(lo, hi, primes_million), hi, q, t)
 
 
+INT32_MAX = 2**31 - 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(top=st.integers(INT32_MAX - 3_000, INT32_MAX + 3_000), size=st.integers(1, 3_000),
+       q=st.one_of(st.integers(1, 10**7 - 1), st.integers(2**31 - 10, MAX_SCAN_Q)),
+       t=thresholds)
+def test_sigma_across_int32_switch_matches_trial_division(primes_million, top, size, q, t):
+    """Segments ending near 2^31 - 1 or straddling it: the cofactor is
+    int32 exactly when hi <= 2^31 - 1, and q beyond 2^31 never meets it."""
+    lo = top - size + 1
+    hi = top + 1
+    seg = scan_segment(lo, hi, primes_million, q=q, above=t)
+    assert seg.cofactor.dtype == (np.int32 if hi <= INT32_MAX else np.int64)
+    check_sigma(seg, trial_factorizations(lo, hi, primes_million), hi, q, t)
+
+
 @SETTINGS
 @given(lo=st.integers(1, 10**6 - 3_000), size=st.integers(1, 3_000),
        y=st.floats(2, 1_500), z=st.integers(2, 2_000))
