@@ -5,11 +5,18 @@ and scan_segment, the one segment kernel that every scan runs.
 Range and dtypes: on a segment lo ≤ n < hi the kernel holds n, the
 found part of n (a divisor of n) and the cofactor in int32 when
 hi ≤ 2³¹ − 1 and in int64 above; σ(P) = P + 1 ≤ hi for the leftover
-prime P fits the same width, and it is reduced mod q only when
-q ≤ hi, so an int32 array never meets a q beyond int32.  σ mod q and
-its factor buffer are int64: products of residues stay below q², or
-below (q − 1)^ω(n) where the per-prime reductions are skipped.  So
-every value fits when x ≤ MAX_SCAN_X and q ≤ MAX_SCAN_Q, and
+prime P fits the same width.  σ mod q and its factor buffer are int64.
+Each factor multiplied into an entry is a Horner value (c·p + 1) mod q,
+at most min(q − 1, σ(p^e)), or the leftover's rem + 1 ≤ σ(rem) with rem
+coprime to the found part, so an entry never exceeds σ(n) before the
+final reduction.  And σ(n) < n·∏_{p | n} p/(p − 1) ≤ top·∏ p/(p − 1)
+over the first ω_max(top) primes, which fits int64 for every segment
+top ≤ 1 279 319 449 414 816 639 ≈ 1.28·10¹⁸: there σ is reduced mod q
+once, at the end, whatever q is.  Above that switch every segment is
+int64 and q ≤ MAX_SCAN_Q < hi; σ(P) is reduced before it is multiplied
+in, and each prime's σ view too when (q − 1)^ω_max can leave int64, so
+products of residues stay below q² or below (q − 1)^ω(n).  So every
+value fits when x ≤ MAX_SCAN_X and q ≤ MAX_SCAN_Q, and
 check_scan_range refuses the rest before any table is built.
 
 Reuse: each thread keeps one set of kernel arrays (σ, the factor
@@ -56,7 +63,7 @@ def check_scan_range(x: int, q: int = 1) -> None:
 
 def primes_up_to(limit: int) -> np.ndarray:
     """All primes ≤ limit as an ascending int64 array, from a plain
-    bool-array sieve."""
+    bool-array sieve; it holds limit + 1 bytes and the primes at most."""
     if limit < 2:
         return np.zeros(0, dtype=np.int64)
     composite = np.zeros(limit + 1, dtype=bool)
@@ -64,7 +71,8 @@ def primes_up_to(limit: int) -> np.ndarray:
     for p in range(2, math.isqrt(limit) + 1):
         if not composite[p]:
             composite[p * p :: p] = True
-    return np.flatnonzero(~composite).astype(np.int64)
+    np.logical_not(composite, out=composite)
+    return np.flatnonzero(composite).astype(np.int64, copy=False)
 
 
 def plan(x: int, q: int = 1, segment_length: Optional[int] = None,
@@ -166,8 +174,12 @@ def scan_segment(
     found part acc = ∏ p^e is built in place and divided into n once at
     the end; σ(p^e) mod q comes from one factor buffer per prime, filled
     with σ(p) and overwritten at the deeper multiples.  The leftover
-    prime P adds σ(P) = P + 1 in one pass.  n, the found part and the
-    cofactor are held in the narrowest integer type that fits hi, so
+    prime P adds σ(P) = P + 1 in one pass.  σ is reduced mod q once, at
+    the end, when hi − 1 ≤ 1.28·10¹⁸, since σ(n) then fits int64 (see
+    the module docstring), so below that switch a segment costs the
+    same at every q; above it σ(P) is reduced first, and each prime's
+    view as well when (q − 1)^ω can leave int64.  n, the found part and
+    the cofactor are held in the narrowest integer type that fits hi, so
     the contiguous passes move half the bytes below 2³¹.  Cache-sized
     segments with strided marking follow T. Oliveira e Silva's
     segmented sieve and primesieve.
@@ -194,7 +206,12 @@ def scan_segment(
         sig.fill(1 % q)
         buf = _scratch("factor", size, np.int64)
         omega_max = sum(math.prod(_FIRST_PRIMES[:k]) <= top for k in range(1, 17))
-        reduce_each = (q - 1) ** omega_max > _INT64_MAX
+        # No entry exceeds σ(n) before the final reduction, and σ(n) <
+        # top·∏ p/(p − 1) over the first ω_max primes: below about
+        # 1.28·10¹⁸ that fits int64 whatever q is.
+        first = _FIRST_PRIMES[:omega_max]
+        exact = top * math.prod(first) <= _INT64_MAX * math.prod(p - 1 for p in first)
+        reduce_each = not exact and (q - 1) ** omega_max > _INT64_MAX
     rem = _scratch("cofactor", size, width)
     _fill_range(rem, lo)
     acc = _scratch("found", size, width)
@@ -233,12 +250,12 @@ def scan_segment(
     mask = _scratch("leftover", size, bool)
     if sig is not None:
         # The leftover prime P contributes σ(P) = P + 1; rem = 1 contributes 1.
-        # P + 1 ≤ hi, so it needs reducing only when q ≤ hi, and then q fits
-        # the width of rem.
+        # Under the σ(n) bound it needs no reduction; above it, hi > q and
+        # rem is int64.
         np.greater(rem, 1, out=mask)
         sig_p = _scratch("spare", size, width)
         np.add(rem, mask, out=sig_p)
-        if q <= hi:
+        if not exact:
             _reduce(sig_p, q, acc)
         sig *= sig_p
         _reduce(sig, q, buf)

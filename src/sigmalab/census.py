@@ -6,7 +6,9 @@ engine streams [1, x] in fixed-length segments through the one segment
 kernel, _scan.scan_segment, which builds σ(n) mod q and the large-factor
 counts for a whole segment from strided prime-power marking (no per-n
 factorization, no big integers): x = 10⁷ takes about 0.4 s on one
-worker.
+worker.  Below x ≈ 1.28·10¹⁸ σ(n) itself fits int64, so the kernel
+reduces mod q once per segment and its walk costs the same at every q;
+a large q adds only the fold into its q-long totals.
 
 Filters restrict which n enter the census:
 
@@ -54,7 +56,9 @@ from ._scan import (check_scan_range, map_segments, plan, primes_up_to, release_
                     scan_segment, segment_bounds)
 from .characters import DirichletCharacter, Modulus
 from .charsums import PolynomialSpec
-from .errors import DegenerateCensusError, OutOfRangeError, UnsupportedModulusError
+from .errors import (DegenerateCensusError, OutOfRangeError, ResourceBudgetError,
+                     UnsupportedModulusError)
+from .factor import DEFAULT_MEMORY_BUDGET
 
 __all__ = [
     "CensusFilter",
@@ -412,6 +416,7 @@ def prime_reciprocal_sum(
     x: int,
     *,
     chunk: int = 1 << 20,
+    memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> float:
     """Σ_{p ≤ x} 1/p over primes with gcd(F(p), q) = 1.
 
@@ -420,11 +425,21 @@ def prime_reciprocal_sum(
     of unit classes u mod q with F(u) again a unit; the q = 1 case is
     the classic Σ 1/p.  Summation is sequential in ascending prime
     order with a fixed chunk size, hence reproducible to the bit.
+
+    The primes come from one bool sieve of x + 1 bytes and an int64
+    array of π(x) < 1.26·x/ln x entries; when those exceed
+    memory_budget bytes, ResourceBudgetError is raised before either
+    is allocated.
     """
     x = int(x)
     if x < 2:
         raise OutOfRangeError(f"x must be >= 2, got {x}")
     check_scan_range(x)
+    need = x + 1 + math.ceil(8 * 1.26 * x / math.log(x))
+    if need > memory_budget:
+        raise ResourceBudgetError(
+            f"prime table for x = {x} needs about {need} bytes, "
+            f"budget is {memory_budget} bytes")
     primes = primes_up_to(x)
     q = m.q
     total = 0.0

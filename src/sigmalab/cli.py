@@ -509,7 +509,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 def _cmd_prime_recip(args: argparse.Namespace) -> int:
     m = _modulus(args)
     poly = PolynomialSpec(tuple(args.coeffs))
-    value = prime_reciprocal_sum(poly, m, args.x)
+    value = prime_reciprocal_sum(poly, m, args.x, memory_budget=_budget(args))
     loglog = math.log(math.log(args.x))
     payload = {
         "x": args.x,

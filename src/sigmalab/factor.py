@@ -135,7 +135,9 @@ class FactorSieve:
 
     The table is one uint32 per integer; construction walks fixed-length
     segments so that the marking passes stay cache-resident. A memory budget
-    guards against accidentally huge tables.
+    guards against accidentally huge tables. The limit and the budget are
+    checked at once, but the table is built on the first call that reads
+    it, so a sieve used only for its limit costs nothing.
     """
 
     def __init__(self, limit: int, segment_length: int = DEFAULT_SEGMENT_LENGTH,
@@ -151,8 +153,14 @@ class FactorSieve:
             raise ResourceBudgetError("spf entries are uint32; limit must be < 2^32")
         self.limit = int(limit)
         self.segment_length = int(segment_length)
-        root = math.isqrt(self.limit)
-        base_primes = primes_up_to(root)
+        self._spf: np.ndarray | None = None
+        self._primes: np.ndarray | None = None
+
+    def _table(self) -> np.ndarray:
+        """The spf table, built on the first call."""
+        if self._spf is not None:
+            return self._spf
+        base_primes = primes_up_to(math.isqrt(self.limit))
         spf = np.zeros(self.limit + 1, dtype=np.uint32)
         for lo, hi in segment_bounds(2, self.limit + 1, self.segment_length):
             for p in base_primes:
@@ -167,25 +175,26 @@ class FactorSieve:
             spf[fresh] = fresh
         spf[1] = 1
         self._spf = spf
-        self._primes: np.ndarray | None = None
+        return spf
 
     def smallest_prime_factor(self, n: int) -> int:
         if n < 2 or n > self.limit:
             raise OutOfRangeError(f"n={n} outside sieve range 2..{self.limit}")
-        return int(self._spf[n])
+        return int(self._table()[n])
 
     def is_prime(self, n: int) -> bool:
         if n < 2 or n > self.limit:
             raise OutOfRangeError(f"n={n} outside sieve range 2..{self.limit}")
-        return int(self._spf[n]) == n
+        return int(self._table()[n]) == n
 
     def factorize(self, n: int) -> Factorization:
         """Canonical factorization of 1 <= n <= limit by spf chasing."""
         if n < 1 or n > self.limit:
             raise OutOfRangeError(f"n={n} outside sieve range 1..{self.limit}")
+        spf = self._table()
         out: list[tuple[int, int]] = []
         while n > 1:
-            p = int(self._spf[n])
+            p = int(spf[n])
             e = 0
             while n % p == 0:
                 n //= p
@@ -196,9 +205,10 @@ class FactorSieve:
     def primes(self) -> np.ndarray:
         """Ascending array of all primes <= limit (cached)."""
         if self._primes is None:
+            spf = self._table()
             chunks = []
             for lo, hi in segment_bounds(2, self.limit + 1, self.segment_length):
-                sl = self._spf[lo:hi]
+                sl = spf[lo:hi]
                 idx = np.flatnonzero(sl == np.arange(lo, hi, dtype=np.uint32))
                 chunks.append((idx + lo).astype(np.int64))
             self._primes = np.concatenate(chunks) if chunks else np.zeros(0, np.int64)
@@ -211,25 +221,26 @@ class FactorSieve:
         return ps[: int(np.searchsorted(ps, bound, side="right"))]
 
 
-def _count_segments(x: int, sieve: FactorSieve, prime_limit: int,
+def _count_segments(x: int, sieve: FactorSieve | None, prime_limit: int,
                     segment_length: int | None, workers: int,
                     count: Callable[[int, int, np.ndarray], int]) -> int:
     """Σ count(lo, hi, primes) over the segments of [1, x], with the primes
-    ≤ min(prime_limit, √x); x must not exceed the sieve's limit."""
-    if x > sieve.limit:
+    ≤ min(prime_limit, √x); x must not exceed the limit of a given sieve."""
+    if sieve is not None and x > sieve.limit:
         raise OutOfRangeError(f"x = {x} exceeds sieve limit {sieve.limit}")
     primes, seg_len = plan(x, segment_length=segment_length, prime_limit=prime_limit)
     return sum(map_segments(1, x + 1, seg_len, lambda lo, hi: count(lo, hi, primes), workers))
 
 
-def psi_smooth_count(x: int, z: float, sieve: FactorSieve,
+def psi_smooth_count(x: int, z: float, sieve: FactorSieve | None = None,
                      segment_length: int | None = None, workers: int = 1) -> int:
     """Exact count of z-smooth n <= x (largest prime factor <= z); 1 is smooth.
 
     Streams segments, divides out all prime factors <= min(z, sqrt(x)); the
     leftover cofactor is 1 or a single prime > sqrt(x), so n is z-smooth
     exactly when the leftover is <= z.  The count does not depend on the
-    segment length or workers.
+    segment length or workers.  A sieve, if given, is read only for its
+    limit, which x must not exceed.
     """
     if z < 2:
         raise ValueError("z must be >= 2")
@@ -241,9 +252,10 @@ def psi_smooth_count(x: int, z: float, sieve: FactorSieve,
     return _count_segments(x, sieve, zf, segment_length, workers, count)
 
 
-def rough_count(x: int, y: float, sieve: FactorSieve,
+def rough_count(x: int, y: float, sieve: FactorSieve | None = None,
                 segment_length: int | None = None, workers: int = 1) -> int:
-    """Exact count of y-rough n <= x (least prime factor > y); 1 is rough."""
+    """Exact count of y-rough n <= x (least prime factor > y); 1 is rough.
+    A sieve, if given, is read only for its limit, which x must not exceed."""
     if y < 1:
         raise ValueError("y must be >= 1")
     yf = math.floor(y)

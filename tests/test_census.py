@@ -13,6 +13,7 @@ from sigmalab import (
     CensusFilter,
     DegenerateCensusError,
     OutOfRangeError,
+    ResourceBudgetError,
     UnsupportedModulusError,
     build_modulus,
     census,
@@ -27,6 +28,7 @@ from sigmalab import (
     twisted_partial_sum,
     PolynomialSpec,
 )
+from sigmalab._scan import primes_up_to
 from sigmalab.census import (
     ClassCounts,
     _class_totals,
@@ -344,6 +346,25 @@ def test_prime_reciprocal_sum_membership():
             if (p + 1) % 3 != 0]
     assert 3 in keep
     assert val == pytest.approx(sum(1 / p for p in keep), abs=1e-12)
+
+
+def test_prime_reciprocal_sum_checks_budget():
+    """x + 1 sieve bytes plus 8 bytes per prime (π(x) < 1.26·x/ln x) are
+    checked before anything is allocated, and building the prime table
+    stays within them."""
+    F, m = PolynomialSpec((1, 1)), build_modulus(3)
+    need = 10**6 + 1 + math.ceil(8 * 1.26 * 10**6 / math.log(10**6))
+    with pytest.raises(ResourceBudgetError):
+        prime_reciprocal_sum(F, m, 10**6, memory_budget=need - 1)
+    assert prime_reciprocal_sum(F, m, 10**6, memory_budget=need) == prime_reciprocal_sum(
+        F, m, 10**6)
+    tracemalloc.start()
+    try:
+        primes_up_to(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need
 
 
 def test_discrepancy_edge_cases(sieve_small):

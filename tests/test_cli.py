@@ -145,6 +145,19 @@ def test_exit_code_3_on_budget(tmp_path, monkeypatch):
     assert code == 0
 
 
+def test_prime_recip_checks_budget_before_sieving(tmp_path, capsys):
+    """The prime table's bytes are checked against --memory-budget before
+    the sieve is allocated: exit 3 with one line, no traceback."""
+    code = cli.main(["prime-recip", "--x", "1e6", "--q", "7", "--memory-budget", "100000",
+                     "--output", str(tmp_path / "x.json")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("sigmalab: resource budget exceeded:") and err.count("\n") == 1
+    code, _ = run(tmp_path, "prime-recip", "--x", "1e6", "--q", "7",
+                  "--memory-budget", "2000000")
+    assert code == 0
+
+
 def test_help_everywhere(capsys):
     for sub in ("census", "twisted-sum", "rho-table", "eta-table",
                 "verify-s-set", "weil-check", "lsd-scan", "g-one", "v-count",

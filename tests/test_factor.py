@@ -6,6 +6,7 @@ sieve versus the segmented smallest-prime-factor machinery).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +138,32 @@ def test_counts_identical_across_segments_and_workers(sieve_small):
             got = (psi_smooth_count(x, 19, sieve_small, segment_length=seg, workers=workers),
                    rough_count(x, 13, sieve_small, segment_length=seg, workers=workers))
             assert got == (smooth, rough) and all(type(v) is int for v in got), (seg, workers)
+
+
+def test_counts_without_a_sieve(sieve_small):
+    """The sieve only bounds x, so leaving it out changes no count."""
+    for x in (1, 2, 1_000, 20_000):
+        for bound in (2, 7.5, 19, 150):
+            assert psi_smooth_count(x, bound) == psi_smooth_count(x, bound, sieve_small)
+            assert rough_count(x, bound) == rough_count(x, bound, sieve_small)
+    assert psi_smooth_count(30_000, 7) == psi_smooth_count(30_000, 7, FactorSieve(30_000))
+
+
+def test_sieve_builds_its_table_on_first_use():
+    """Construction checks the limit but allocates no table; the first
+    read builds it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sieve = FactorSieve(10**7)
+        assert tracemalloc.get_traced_memory()[0] - before < 1 << 20
+    finally:
+        tracemalloc.stop()
+    for n in list(range(9_999_900, 10**7 + 1)) + [1, 2, 4_998]:
+        assert sieve.factorize(n).factors == tuple(trial_factor(n))
+    assert sieve.smallest_prime_factor(9_999_997) == 7
+    assert sieve.is_prime(9_999_991) and not sieve.is_prime(9_999_993)
+    assert sieve.primes_up_to(30).tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
 def test_two_adic_square_form_exhaustive(sieve_small):

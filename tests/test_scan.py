@@ -1,7 +1,8 @@
 """The one segment kernel, scan_segment, against oracles that never call it:
 FactorSieve.factorize + sigma_mod + kth_largest_prime_factor below 10^6, a
-segmented trial division in Python integers near 10^12 and at the top of
-the int64 range, and brute force for the rough Omega-histogram.  Also the
+segmented trial division in Python integers near 10^12, across the switch
+near 1.28*10^18 above which sigma(n) may leave int64, and at the top of the
+int64 range, and brute force for the rough Omega-histogram.  Also the
 int64 range guard of every scan entry point."""
 
 import math
@@ -154,17 +155,16 @@ def test_primes_up_to_matches_sieve(sieve_million):
         assert np.array_equal(primes_up_to(limit), sieve_million.primes_up_to(limit))
 
 
-def test_top_of_int64_range_is_exact():
-    """One short segment ending at MAX_SCAN_X: the cofactor over the primes
-    below 1000 and sigma of the walked part times cofactor + 1 agree with
-    Python integers, so nothing wraps at n + 1."""
-    lo, hi = MAX_SCAN_X - 200, MAX_SCAN_X + 1
-    small = primes_up_to(1_000)
-    q = 999_983
-    seg = scan_segment(lo, hi, small, q=q)
+SMALL_PRIMES = primes_up_to(1_000)
+
+
+def check_small_prime_walk(lo: int, hi: int, q: int) -> None:
+    """scan_segment over the primes below 1000 against Python integers: the
+    cofactor, and sigma of the walked part times cofactor + 1."""
+    seg = scan_segment(lo, hi, SMALL_PRIMES, q=q)
     for n, s, c in zip(range(lo, hi), seg.sigma.tolist(), seg.cofactor.tolist()):
         rest, want = n, 1
-        for p in small.tolist():
+        for p in SMALL_PRIMES.tolist():
             g = 1
             while rest % p == 0:
                 rest //= p
@@ -172,6 +172,39 @@ def test_top_of_int64_range_is_exact():
             want = want * g % q
         assert c == rest
         assert s == want * (rest + 1 if rest > 1 else 1) % q
+
+
+def test_top_of_int64_range_is_exact():
+    """One short segment ending at MAX_SCAN_X: nothing wraps at n + 1."""
+    check_small_prime_walk(MAX_SCAN_X - 200, MAX_SCAN_X + 1, 999_983)
+
+
+# The largest segment top at which sigma(n) < top * prod p/(p - 1) over the
+# first 15 primes still fits int64, so the kernel skips every reduction
+# before the last; above it the (q - 1)^omega bound decides.
+EXACT_TOP = 1_279_319_449_414_816_639
+SWITCH_MODULI = [5, 2**31 - 1, MAX_SCAN_Q]
+
+
+@settings(max_examples=20, deadline=None)
+@given(top=st.integers(EXACT_TOP - 3_000, EXACT_TOP + 3_000), size=st.integers(1, 3_000),
+       q=st.sampled_from(SWITCH_MODULI))
+def test_sigma_across_exact_switch(top, size, q):
+    """Segments ending near EXACT_TOP or straddling it."""
+    check_small_prime_walk(top - size + 1, top + 1, q)
+
+
+@pytest.mark.parametrize("q", SWITCH_MODULI)
+@pytest.mark.parametrize("m", [96, 144])
+def test_sigma_of_abundant_n_on_both_sides_of_exact_switch(m, q):
+    """n = 2*3*...*43 * m has sigma(n)/n near 6.2: at m = 96 it lies below
+    EXACT_TOP with sigma(n) inside int64, at m = 144 above it with sigma(n)
+    beyond, so skipping reductions there would wrap."""
+    n = math.prod(p for p in SMALL_PRIMES.tolist() if p <= 43) * m
+    sigma = math.prod((p ** (e + 1) - 1) // (p - 1)
+                      for p, e in trial_factorizations(n, n + 1, SMALL_PRIMES)[0].factors)
+    assert (n < EXACT_TOP) == (m == 96) and (sigma > 2**63 - 1) == (m == 144)
+    check_small_prime_walk(n - 300, n + 301, q)
 
 
 @pytest.mark.parametrize("x", [MAX_SCAN_X + 1, 10**19, 10**20])
