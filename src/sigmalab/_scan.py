@@ -76,12 +76,12 @@ def primes_up_to(limit: int) -> np.ndarray:
 
 
 def plan(x: int, q: int = 1, segment_length: Optional[int] = None,
-         prime_limit: Optional[int] = None) -> tuple[np.ndarray, int]:
+         prime_limit: Optional[int] = None, workers: int = 1) -> tuple[np.ndarray, int]:
     """Validate a scan of 1 ≤ n ≤ x (σ mod q, if any) and set it up.
 
     Refuses x < 1, q < 1 and segment_length < 1, then the ranges that
-    check_scan_range refuses, all with OutOfRangeError and before any
-    table is built.  Returns the primes ≤ min(prime_limit, √x) and the
+    check_scan_range refuses, then workers < 1, all with OutOfRangeError
+    and before any table is built.  Returns the primes ≤ min(prime_limit, √x) and the
     segment length (DEFAULT_SEGMENT_LENGTH for None).
     """
     if x < 1:
@@ -93,6 +93,8 @@ def plan(x: int, q: int = 1, segment_length: Optional[int] = None,
     elif segment_length < 1:
         raise OutOfRangeError(f"segment_length must be >= 1, got {segment_length}")
     check_scan_range(x, q)
+    if workers < 1:
+        raise OutOfRangeError(f"workers must be at least 1, got {workers}")
     limit = math.isqrt(x) if prime_limit is None else min(prime_limit, math.isqrt(x))
     return primes_up_to(limit), segment_length
 
@@ -286,8 +288,6 @@ def map_segments(start: int, stop: int, segment_length: int,
     the calling thread's kernel arrays when it ends; pool threads drop
     theirs when they exit, as the pool shuts down.
     """
-    if workers < 1:
-        raise OutOfRangeError(f"workers must be at least 1, got {workers}")
     segs = segment_bounds(start, stop, segment_length)
     if workers <= 1 or len(segs) <= 1:
         try:

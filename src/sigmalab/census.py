@@ -1,14 +1,13 @@
 """Censuses of σ(n) in coprime residue classes.
 
 The core question: among n ≤ x whose divisor sum σ(n) is coprime to q,
-how evenly do the values σ(n) mod q spread over the unit classes?  The
-engine streams [1, x] in fixed-length segments through the one segment
-kernel, _scan.scan_segment, which builds σ(n) mod q and the large-factor
-counts for a whole segment from strided prime-power marking (no per-n
-factorization, no big integers): x = 10⁷ takes about 0.4 s on one
-worker.  Below x ≈ 1.28·10¹⁸ σ(n) itself fits int64, so the kernel
-reduces mod q once per segment and its walk costs the same at every q;
-a large q adds only the fold into its q-long totals.
+how evenly do the values σ(n) mod q spread over the unit classes?
+_class_totals counts them with one of two engines that give the same
+int64 totals, as _sublinear.preferred picks: for small φ(q) the Lucy +
+min_25 engine of _sublinear (x = 10⁷ in about 0.04 s at q = 5), else
+the segment sieve, which streams [1, x] through the one segment kernel,
+_scan.scan_segment, in strided prime-power marking with no per-n
+factorization (x = 10⁷ in about 0.4 s on one worker, at any q).
 
 Filters restrict which n enter the census:
 
@@ -25,19 +24,17 @@ equidistribution exponent, a discrepancy statistic, and the main-term
 shapes x/(log x)^{1−α} and √x/(log x)^{1−α̃} for coprime-σ counts.
 
 All counting is exact 64-bit integer arithmetic, for x ≤ 2⁶³ − 2 and
-q ≤ 3.04·10⁹.  Every scan here is set up by _scan.plan, which refuses
+q ≤ 3.04·10⁹.  Every census is set up by _scan.plan, which refuses
 larger inputs, x < 1, q < 1 and a segment length below 1 with
-OutOfRangeError before any table is built, and supplies the primes
-≤ √x the kernel walks; no FactorSieve is involved.  Each segment's
-classes are added into one shared int64 total under a lock: as a
-bincount when the segment admits at least q integers, else one
-increment per integer with np.add.at.  Integer addition is exact in
-any order, so outputs are identical for any worker count and segment
-length.  The unit classes are then compacted into the front of that
-total in place, and the report's counts are a read-only mapping over
-it, so a census holds about 8·q bytes of totals plus
-O(workers·segment), however many segments it scans and however large
-φ(q) is.
+OutOfRangeError before any table is built and supplies the primes ≤ √x
+both engines walk; a worker count below 1 is refused next.  The sieve
+adds each segment's classes into one int64 total under a lock, as a
+bincount when the segment admits at least q integers, else with
+np.add.at: exact in any order, so identical for any worker count and
+segment length, in about 8·q bytes plus O(workers·segment).  The
+sublinear engine holds about three 2√x × φ(q)·(k + 1) int64 tables.
+The unit classes are then compacted into the front of the total in
+place, and the report's counts are a read-only mapping over it.
 """
 
 from __future__ import annotations
@@ -52,6 +49,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
+from . import _sublinear
 from ._scan import (check_scan_range, map_segments, plan, primes_up_to, release_scratch,
                     scan_segment, segment_bounds)
 from .characters import DirichletCharacter, Modulus
@@ -290,17 +288,27 @@ def _class_totals(
     segment_length: Optional[int],
     workers: int,
 ) -> np.ndarray:
-    """int64 array over 0..q−1 of #{filtered n ≤ x : σ(n) ≡ a}, zero at
-    non-units a.
+    """int64 array over 0..q−1 of #{filtered n ≤ x : σ(n) ≡ a}, zero at non-
+    units a.  After the sieve's input checks, _sublinear.preferred picks the
+    sublinear engine (about three 2√x × φ(q)·(k + 1) int64 tables, no segments
+    or workers) when x ≥ 2¹⁷ and φ(q)·(1 + (k + 1)·α(q)) is small against
+    x^(1/4)·ln x, else the sieve (8·q bytes plus O(workers·segment))."""
+    primes, seg_len = plan(x, m.q, segment_length, workers=workers)
+    grades, t = (f.k + 1, f.threshold) if f.kind == "pk-threshold" else (1, 0)
+    if _sublinear.preferred(x, m, grades, t, DEFAULT_MEMORY_BUDGET):
+        return _sublinear.class_totals(x, m, primes, grades, t, f.kind == "coprime-only")
+    return _sieve_totals(x, m, f, primes, seg_len, workers)
 
-    Every segment folds into the one total under a lock.  A segment that
-    admits fewer integers than q adds one per integer in place (np.add.at);
-    only a longer one builds a q-length bincount, so at most `workers`
-    such parts are alive at a time, and none when q exceeds the segment
-    length.  The sum is exact in any order, hence the same for any
-    segment length and workers."""
+
+def _sieve_totals(x: int, m: Modulus, f: CensusFilter, primes: np.ndarray,
+                  seg_len: int, workers: int) -> np.ndarray:
+    """_class_totals by the segment kernel over [1, x], on the plan's primes.
+    Every segment folds into the one total under a lock: one per integer
+    in place (np.add.at) when it admits fewer integers than q, else as a
+    q-length bincount, so at most `workers` such parts are alive at once.
+    The sum is exact in any order, hence the same for any segment length
+    and workers."""
     q = m.q
-    primes, seg_len = plan(x, q, segment_length)
     threshold = f.threshold if f.kind == "pk-threshold" else None
 
     totals = np.zeros(q, dtype=np.int64)
@@ -349,12 +357,13 @@ def census(
     """Count filtered n ≤ x by the class of σ(n) among the units mod q.
 
     Only n with gcd(σ(n), q) = 1 are counted at all (σ values sharing
-    a factor with q belong to no coprime class).  Deterministic for
-    any worker count and segment length: each segment is added into one
-    int64 total under a lock, an exact integer fold.  The unit classes
-    are then moved to the front of that total in place, and the report's
-    counts read it there, so memory stays about 8·q bytes plus
-    O(workers·segment).
+    a factor with q belong to no coprime class).  The totals come from
+    _class_totals: the sublinear engine when _sublinear.preferred says φ(q)
+    is small for this x, in about three 2√x × φ(q)·(k + 1) int64 tables,
+    else the segment sieve, in about 8·q bytes plus O(workers·segment).
+    Both are exact, so the counts are the same for any engine, worker
+    count and segment length.  The unit classes are then moved to the
+    front of the total in place, and the report's counts read it there.
     """
     x = int(x)
     if f is None:
@@ -400,7 +409,7 @@ def twisted_partial_sum(
     coprime total of the census; for nonprincipal characters
     orthogonality makes it the error term of equidistribution.  Taken as
     the character transform of the census's exact class totals, so it
-    does not depend on segment_length or workers.
+    does not depend on the engine, segment_length or workers.
     """
     x = int(x)
     if f is None:
@@ -427,15 +436,16 @@ def prime_reciprocal_sum(
     order with a fixed chunk size, hence reproducible to the bit.
 
     The primes come from one bool sieve of x + 1 bytes and an int64
-    array of π(x) < 1.26·x/ln x entries; when those exceed
-    memory_budget bytes, ResourceBudgetError is raised before either
-    is allocated.
+    array of π(x) < 1.26·x/ln x entries, and each chunk adds about five
+    8-byte temporaries per prime; when those exceed memory_budget bytes,
+    ResourceBudgetError is raised before any of them is allocated.
     """
     x = int(x)
     if x < 2:
         raise OutOfRangeError(f"x must be >= 2, got {x}")
     check_scan_range(x)
-    need = x + 1 + math.ceil(8 * 1.26 * x / math.log(x))
+    n_primes = math.ceil(1.26 * x / math.log(x))
+    need = x + 1 + 8 * n_primes + 5 * 8 * min(chunk, n_primes)
     if need > memory_budget:
         raise ResourceBudgetError(
             f"prime table for x = {x} needs about {need} bytes, "

@@ -228,7 +228,8 @@ def _count_segments(x: int, sieve: FactorSieve | None, prime_limit: int,
     ≤ min(prime_limit, √x); x must not exceed the limit of a given sieve."""
     if sieve is not None and x > sieve.limit:
         raise OutOfRangeError(f"x = {x} exceeds sieve limit {sieve.limit}")
-    primes, seg_len = plan(x, segment_length=segment_length, prime_limit=prime_limit)
+    primes, seg_len = plan(x, segment_length=segment_length, prime_limit=prime_limit,
+                           workers=workers)
     return sum(map_segments(1, x + 1, seg_len, lambda lo, hi: count(lo, hi, primes), workers))
 
 

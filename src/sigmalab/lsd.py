@@ -150,7 +150,7 @@ def rough_omega_histogram(
     y = float(y)
     if y < 2:
         raise OutOfRangeError(f"roughness cut must satisfy y >= 2, got {y}")
-    primes, seg_len = plan(x, segment_length=segment_length)
+    primes, seg_len = plan(x, segment_length=segment_length, workers=workers)
 
     def one_segment(lo: int, hi: int) -> np.ndarray:
         # For y-rough n every prime factor exceeds y, so the count above y is Ω(n).

@@ -356,10 +356,11 @@ def test_criterion_14_witness_oracle_equivalence():
     assert sqfree.crt_count == sqfree.direct_count
 
 
-def test_criterion_15_worker_determinism():
+def test_criterion_15_worker_determinism(sieve_engine):
     """Every parallelizable acceptance computation repeated with worker
     counts 1 and 8 yields identical outputs (the remaining criteria use
-    sequential code paths that never see a worker count)."""
+    sequential code paths that never see a worker count).  The censuses
+    run on the segment sieve, the engine that has workers."""
     checks = []
 
     r1 = census(10 ** 7, build_modulus(5), workers=1)

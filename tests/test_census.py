@@ -28,12 +28,13 @@ from sigmalab import (
     twisted_partial_sum,
     PolynomialSpec,
 )
-from sigmalab._scan import primes_up_to
+from sigmalab import _sublinear
+from sigmalab._scan import plan, primes_up_to
 from sigmalab.census import (
     ClassCounts,
-    _class_totals,
     _coprime_mask,
     _max_rel_deviation,
+    _sieve_totals,
 )
 from sigmalab.factor import DEFAULT_SEGMENT_LENGTH
 
@@ -57,9 +58,23 @@ def brute_census(x: int, q: int, keep) -> dict[int, int]:
     return counts
 
 
+def sieve_totals(x, m, f=None, segment_length=None, workers=1):
+    """The segment sieve's class totals, on the plan the census makes."""
+    f = f or CensusFilter.all_integers()
+    return _sieve_totals(x, m, f, *plan(x, m.q, segment_length), workers)
+
+
+def sublinear_totals(x, m, f=None):
+    """The sublinear engine's class totals, whatever the dispatch rule says."""
+    f = f or CensusFilter.all_integers()
+    grades, t = (f.k + 1, f.threshold) if f.kind == "pk-threshold" else (1, 0)
+    return _sublinear.class_totals(x, m, plan(x, m.q)[0], grades, t,
+                                   f.kind == "coprime-only")
+
+
 def test_census_matches_brute_all_filters(sieve_small):
+    """The public census and each engine against the divisor-sieve oracle."""
     x = 3_000
-    facts = {n: None for n in range(1, x + 1)}
     for q in (5, 7, 12):
         m = build_modulus(q)
         cases = [
@@ -73,9 +88,14 @@ def test_census_matches_brute_all_filters(sieve_small):
                  sieve_small.factorize(n), 2) > 5),
         ]
         for f, keep in cases:
+            want = brute_census(x, q, keep)
             report = census(x, m, f)
-            assert report.counts == brute_census(x, q, keep), (q, f)
+            assert report.counts == want, (q, f)
             assert report.total_coprime == sum(report.counts.values())
+            dense = np.zeros(q, dtype=np.int64)
+            dense[list(want)] = list(want.values())
+            assert np.array_equal(sieve_totals(x, m, f), dense), (q, f)
+            assert np.array_equal(sublinear_totals(x, m, f), dense), (q, f)
 
 
 def test_census_q_one(sieve_small):
@@ -84,7 +104,7 @@ def test_census_q_one(sieve_small):
     assert report.max_rel_deviation == 0.0
 
 
-def test_census_workers_and_segments_identical():
+def test_census_workers_and_segments_identical(sieve_engine):
     m = build_modulus(15)
     base = census(200_000, m)
     for workers, seg in ((4, 1_000), (8, 333), (1, 77_777)):
@@ -115,8 +135,7 @@ def test_class_totals_memory_bounded_by_workers(x, q, segment_length, workers, b
     m.unit_mask  # build the lazy table before tracing
     tracemalloc.start()
     try:
-        totals = _class_totals(x, m, CensusFilter.all_integers(),
-                               segment_length=segment_length, workers=workers)
+        totals = sieve_totals(x, m, segment_length=segment_length, workers=workers)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -125,7 +144,7 @@ def test_class_totals_memory_bounded_by_workers(x, q, segment_length, workers, b
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_census_releases_kernel_arrays(workers):
+def test_census_releases_kernel_arrays(workers, sieve_engine):
     """Each thread reuses one set of kernel arrays across segments; a
     scan's end drops them (the caller's after a sequential scan, the pool
     threads' as the pool shuts down), so nothing of them stays traced."""
@@ -149,8 +168,7 @@ def test_class_totals_sparse_fold_memory():
     m.unit_mask  # build the lazy table before tracing
     tracemalloc.start()
     try:
-        _class_totals(200_000, m, CensusFilter.all_integers(),
-                      segment_length=4096, workers=2)
+        sieve_totals(200_000, m, segment_length=4096, workers=2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -178,8 +196,7 @@ def test_sparse_and_dense_fold_agree():
             m = build_modulus(q)
             want = _sequential_totals(x, m, length)
             for workers in (1, 2, 8):
-                got = _class_totals(x, m, CensusFilter.all_integers(),
-                                    segment_length=seg, workers=workers)
+                got = sieve_totals(x, m, segment_length=seg, workers=workers)
                 assert np.array_equal(got, want), (seg, q, workers)
 
 
@@ -274,7 +291,7 @@ def test_orthogonality_reconstruction():
             assert abs(rebuilt - count) <= 1e-6 * x, (q, a)
 
 
-def test_twisted_sum_independent_of_segments_and_workers():
+def test_twisted_sum_independent_of_segments_and_workers(sieve_engine):
     """Bit-identical for every segment length and worker count."""
     x = 200_000
     for q in (7, 15):
@@ -348,12 +365,18 @@ def test_prime_reciprocal_sum_membership():
     assert val == pytest.approx(sum(1 / p for p in keep), abs=1e-12)
 
 
+def prime_reciprocal_need(x: int, chunk: int = 1 << 20) -> int:
+    """x + 1 sieve bytes, 8 bytes per prime (pi(x) < 1.26*x/ln x) and
+    five 8-byte temporaries per prime of one chunk."""
+    n_primes = math.ceil(1.26 * x / math.log(x))
+    return x + 1 + 8 * n_primes + 5 * 8 * min(chunk, n_primes)
+
+
 def test_prime_reciprocal_sum_checks_budget():
-    """x + 1 sieve bytes plus 8 bytes per prime (π(x) < 1.26·x/ln x) are
-    checked before anything is allocated, and building the prime table
-    stays within them."""
+    """The estimate is checked before anything is allocated, and building
+    the prime table stays within it."""
     F, m = PolynomialSpec((1, 1)), build_modulus(3)
-    need = 10**6 + 1 + math.ceil(8 * 1.26 * 10**6 / math.log(10**6))
+    need = prime_reciprocal_need(10**6)
     with pytest.raises(ResourceBudgetError):
         prime_reciprocal_sum(F, m, 10**6, memory_budget=need - 1)
     assert prime_reciprocal_sum(F, m, 10**6, memory_budget=need) == prime_reciprocal_sum(
@@ -365,6 +388,37 @@ def test_prime_reciprocal_sum_checks_budget():
     finally:
         tracemalloc.stop()
     assert peak <= need
+
+
+def test_prime_reciprocal_sum_peak_within_estimate():
+    """The whole call, per-chunk temporaries included, stays within the
+    estimate its budget check uses (about 3.1 MB traced against 5.4 MB at
+    x = 10^6; the sieve and the primes alone would be 1.73 MB)."""
+    F, m = PolynomialSpec((1, 1, 1)), build_modulus(7)
+    tracemalloc.start()
+    try:
+        prime_reciprocal_sum(F, m, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= prime_reciprocal_need(10**6)
+
+
+def test_prime_reciprocal_sum_prices_chunk_temporaries():
+    """A budget that covers the sieve and the primes but not the chunk's
+    temporaries is refused before anything is allocated."""
+    F, m = PolynomialSpec((1, 1, 1)), build_modulus(7)
+    x = 10**6
+    without_chunk = x + 1 + 8 * math.ceil(1.26 * x / math.log(x))
+    budget = (without_chunk + prime_reciprocal_need(x)) // 2
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceBudgetError):
+            prime_reciprocal_sum(F, m, x, memory_budget=budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_discrepancy_edge_cases(sieve_small):

@@ -293,7 +293,7 @@ def test_witness_validation():
 
 
 @pytest.mark.parametrize("witness", [overrep_witness_sqfree, overrep_witness_even])
-def test_witness_reports_independent_of_segments_and_workers(witness):
+def test_witness_reports_independent_of_segments_and_workers(witness, sieve_engine):
     """Identical reports for workers {1, 2, 8} x segment lengths {default, 997, 9973}."""
     base = witness(7, 150_000)
     for seg in (None, 997, 9973):
