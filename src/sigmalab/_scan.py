@@ -81,8 +81,8 @@ def plan(x: int, q: int = 1, segment_length: Optional[int] = None,
 
     Refuses x < 1, q < 1 and segment_length < 1, then the ranges that
     check_scan_range refuses, then workers < 1, all with OutOfRangeError
-    and before any table is built.  Returns the primes ≤ min(prime_limit, √x) and the
-    segment length (DEFAULT_SEGMENT_LENGTH for None).
+    and before any table is built.  Returns the primes ≤ min(prime_limit,
+    √x) and the segment length (DEFAULT_SEGMENT_LENGTH for None).
     """
     if x < 1:
         raise OutOfRangeError(f"x must be >= 1, got {x}")
