@@ -5,8 +5,10 @@ the classical main term
 
     x * (loglog x)^{beta-1} / Gamma(beta) * exp(-beta loglog y - gamma beta)
 
-for fixed beta and slowly growing y.  The demo tracks the exact sum
-against that main term along an x grid, evaluates the associated Euler
+for fixed beta and slowly growing y.  The demo tracks the exact sum,
+which sigmalab takes from a prime-count engine over the primes above y
+rather than from a sieve of every n <= x, against that main term along
+an x grid, evaluates the associated Euler
 product at beta = 1 (where it collapses to a finite rational), and
 follows the prime reciprocal sums whose loglog-scale slopes are the
 densities alpha(q) and alpha~(q) that reappear throughout the sigma

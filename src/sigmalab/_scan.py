@@ -1,6 +1,8 @@
 """Deterministic segment-parallel scans over integer ranges: plan, the one
 validated setup that every scan runs and that supplies its primes ≤ √x,
-and scan_segment, the one segment kernel that every scan runs.
+and scan_segment, the one segment kernel of the scans that sieve [1, x]:
+the censuses _sublinear does not take, the σ stream and the witnesses.
+The rough and smooth counts run plan and then _sublinear, not the kernel.
 
 Range and dtypes: on a segment lo ≤ n < hi the kernel holds n, the
 found part of n (a divisor of n) and the cofactor in int32 when
@@ -21,10 +23,10 @@ check_scan_range refuses the rest before any table is built.
 
 Reuse: each thread keeps one set of kernel arrays (σ, the factor
 buffer, n and its cofactor, the found part, a spare, the leftover
-mask, the large counts and the rough mask), grown on demand and reused
-by every segment it scans, so once the set has grown no segment
-allocates a segment-long array.  The arrays scan_segment returns are views of them, valid
-until the same thread's next scan_segment call.  map_segments drops the
+mask and the large counts), grown on demand and reused by every
+segment it scans, so once the set has grown no segment allocates a
+segment-long array.  The arrays scan_segment returns are views of
+them, valid until the same thread's next scan_segment call.  map_segments drops the
 caller's set when a sequential scan ends, and pool threads drop theirs
 when they exit.
 """
@@ -104,7 +106,6 @@ class Segment(NamedTuple):
 
     sigma: Optional[np.ndarray]
     large: Optional[np.ndarray]
-    rough: Optional[np.ndarray]
     cofactor: np.ndarray
 
 
@@ -154,18 +155,14 @@ def scan_segment(
     *,
     q: Optional[int] = None,
     above: Optional[float] = None,
-    rough: Optional[float] = None,
 ) -> Segment:
     """One walk of the ascending primes ≤ √(hi − 1) over lo ≤ n < hi, lo ≥ 1.
 
     Returns int64 σ(n) mod q if q is given; the int8 number of prime
-    factors > above, with multiplicity, if above is; y-roughness if
-    rough = y is, in which case the primes ≤ y only mark n and are not
-    divided out, so the other arrays hold where n is rough; and always
-    the cofactor, n over its part on the primes divided out.  σ and the
+    factors > above, with multiplicity, if above is; and always the
+    cofactor, n over its part on the primes divided out.  σ and the
     count need every prime ≤ √(hi − 1), and then the cofactor is 1 or a
-    prime; a cofactor alone may use fewer (the primes ≤ z of a smooth
-    count).  The cofactor is int32 when hi ≤ 2³¹ − 1 and int64 above.
+    prime; a cofactor alone may use fewer primes.  The cofactor is int32 when hi ≤ 2³¹ − 1 and int64 above.
 
     The returned arrays are views of the calling thread's kernel arrays,
     which every call reuses: they stay valid until the same thread's
@@ -190,14 +187,6 @@ def scan_segment(
     top = hi - 1
     width = np.int32 if hi <= _INT32_MAX else np.int64
     walk = primes[: np.searchsorted(primes, math.isqrt(top), side="right")]
-    alive = None
-    if rough is not None:
-        cut = int(np.searchsorted(walk, math.floor(rough), side="right"))
-        alive = _scratch("rough", size, bool)
-        alive.fill(True)
-        for p in walk[:cut].tolist():
-            alive[-lo % p :: p] = False
-        walk = walk[cut:]
     large = None
     if above is not None:
         large = _scratch("large", size, np.int8)
@@ -264,11 +253,7 @@ def scan_segment(
     if large is not None:
         np.greater(rem, max(above, 1), out=mask)
         large += mask
-    if alive is not None:
-        np.greater(rem, rough, out=mask)
-        mask |= rem == 1
-        alive &= mask
-    return Segment(sig, large, alive, rem)
+    return Segment(sig, large, rem)
 
 
 def segment_bounds(start: int, stop: int, segment_length: int) -> list[tuple[int, int]]:

@@ -287,16 +287,23 @@ def _class_totals(
     f: CensusFilter,
     segment_length: Optional[int],
     workers: int,
+    budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> np.ndarray:
     """int64 array over 0..q−1 of #{filtered n ≤ x : σ(n) ≡ a}, zero at non-
     units a.  After the sieve's input checks, _sublinear.preferred picks the
     sublinear engine (about three 2√x × φ(q)·(k + 1) int64 tables, no segments
-    or workers) when x ≥ 2¹⁷ and φ(q)·(1 + (k + 1)·α(q)) is small against
-    x^(1/4)·ln x, else the sieve (8·q bytes plus O(workers·segment))."""
+    or workers) when x ≥ 2¹⁷, φ(q)·(1 + (k + 1)·α(q)) is small against
+    x^(1/4)·ln x and the tables fit budget bytes, else the sieve: about
+    8·q·(workers + 1) bytes plus 52 per integer of each worker's segment,
+    and ResourceBudgetError when that does not fit either."""
     primes, seg_len = plan(x, m.q, segment_length, workers=workers)
     grades, t = (f.k + 1, f.threshold) if f.kind == "pk-threshold" else (1, 0)
-    if _sublinear.preferred(x, m, grades, t, DEFAULT_MEMORY_BUDGET):
-        return _sublinear.class_totals(x, m, primes, grades, t, f.kind == "coprime-only")
+    if _sublinear.preferred(x, m, grades, t, budget):
+        return _sublinear.class_totals(x, m, primes, grades, t, f.kind == "coprime-only")[-1]
+    need = 8 * m.q * (workers + 1) + 52 * workers * min(seg_len, x)
+    if need > budget:
+        raise ResourceBudgetError(f"census sieve needs about {need} bytes, "
+                                  f"budget is {budget} bytes")
     return _sieve_totals(x, m, f, primes, seg_len, workers)
 
 
@@ -353,6 +360,7 @@ def census(
     *,
     segment_length: Optional[int] = None,
     workers: int = 1,
+    memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> CensusReport:
     """Count filtered n ≤ x by the class of σ(n) among the units mod q.
 
@@ -361,8 +369,9 @@ def census(
     _class_totals: the sublinear engine when _sublinear.preferred says φ(q)
     is small for this x, in about three 2√x × φ(q)·(k + 1) int64 tables,
     else the segment sieve, in about 8·q bytes plus O(workers·segment).
-    Both are exact, so the counts are the same for any engine, worker
-    count and segment length.  The unit classes are then moved to the
+    Each engine's arrays are checked against memory_budget bytes first;
+    ResourceBudgetError when neither fits.  Both are exact, so the counts
+    are the same for any engine, worker count and segment length.  The unit classes are then moved to the
     front of the total in place, and the report's counts read it there.
     """
     x = int(x)
@@ -370,7 +379,7 @@ def census(
         f = CensusFilter.all_integers()
     q = m.q
     units = m.units
-    totals = _class_totals(x, m, f, segment_length, workers)
+    totals = _class_totals(x, m, f, segment_length, workers, memory_budget)
     # units[i] >= i, so each chunk reads only slots no earlier chunk wrote.
     for start in range(0, m.phi, _CHUNK):
         stop = min(start + _CHUNK, m.phi)

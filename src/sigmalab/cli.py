@@ -324,7 +324,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
     m = _modulus(args)
     f = _census_filter(args)
     report = census(args.x, m, f, segment_length=args.segment_length,
-                    workers=args.workers)
+                    workers=args.workers, memory_budget=_budget(args))
     total = report.total_coprime
     phi = len(report.counts)
     payload = {
@@ -419,7 +419,7 @@ def _cmd_weil_check(args: argparse.Namespace) -> int:
 def _cmd_lsd_scan(args: argparse.Namespace) -> int:
     results = convergence_scan(args.beta, args.x_grid, args.y,
                                segment_length=args.segment_length,
-                               workers=args.workers)
+                               workers=args.workers, memory_budget=_budget(args))
     payload = {"rows": [{
         "x": r.params.x,
         "y": r.params.y,

@@ -2,8 +2,9 @@
 
 Smallest-prime-factor tables, canonical factorizations, sigma(n) mod q,
 ordered prime-factor statistics, 2-adic square decompositions, and exact
-smooth/rough counts. Everything is exact integer arithmetic; floating point
-only enters through smoothness cutoffs supplied by the caller.
+smooth/rough counts, which run the sublinear engine of _sublinear over a
+window of primes rather than a sieve. Everything is exact integer
+arithmetic; floating point only enters through cutoffs supplied by the caller.
 
 Conventions: P+(1) = P-(1) = 1, the k-th largest prime factor of n is taken
 with multiplicity and defaults to 1 when n has fewer than k prime factors,
@@ -14,12 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from ._scan import (DEFAULT_SEGMENT_LENGTH, map_segments, plan, primes_up_to, scan_segment,
-                    segment_bounds)
+from . import _sublinear
+from ._scan import DEFAULT_SEGMENT_LENGTH, plan, primes_up_to, segment_bounds
 from .errors import OutOfRangeError, ResourceBudgetError
 
 DEFAULT_MEMORY_BUDGET = 2_000_000_000  # bytes allowed for one spf table
@@ -221,47 +221,35 @@ class FactorSieve:
         return ps[: int(np.searchsorted(ps, bound, side="right"))]
 
 
-def _count_segments(x: int, sieve: FactorSieve | None, prime_limit: int,
-                    segment_length: int | None, workers: int,
-                    count: Callable[[int, int, np.ndarray], int]) -> int:
-    """Σ count(lo, hi, primes) over the segments of [1, x], with the primes
-    ≤ min(prime_limit, √x); x must not exceed the limit of a given sieve."""
+def _window_count(x: int, lo: int, hi: int, sieve: FactorSieve | None,
+                  segment_length: int | None, workers: int) -> int:
+    """#{n <= x : every prime factor of n in (lo, hi]} from the sublinear engine
+    at q = 1, after _scan.plan's checks; x must not exceed a given sieve's limit."""
     if sieve is not None and x > sieve.limit:
         raise OutOfRangeError(f"x = {x} exceeds sieve limit {sieve.limit}")
-    primes, seg_len = plan(x, segment_length=segment_length, prime_limit=prime_limit,
-                           workers=workers)
-    return sum(map_segments(1, x + 1, seg_len, lambda lo, hi: count(lo, hi, primes), workers))
+    primes, _ = plan(x, segment_length=segment_length, workers=workers)
+    return int(_sublinear.omega_tails(x, primes, lo, hi, 1, DEFAULT_MEMORY_BUDGET)[0])
 
 
 def psi_smooth_count(x: int, z: float, sieve: FactorSieve | None = None,
                      segment_length: int | None = None, workers: int = 1) -> int:
     """Exact count of z-smooth n <= x (largest prime factor <= z); 1 is smooth.
 
-    Streams segments, divides out all prime factors <= min(z, sqrt(x)); the
-    leftover cofactor is 1 or a single prime > sqrt(x), so n is z-smooth
-    exactly when the leftover is <= z.  The count does not depend on the
-    segment length or workers.  A sieve, if given, is read only for its
-    limit, which x must not exceed.
+    The sublinear engine runs over the primes <= z, in tables of about
+    2*sqrt(x) rows checked against DEFAULT_MEMORY_BUDGET.  It scans no
+    segments, so segment_length and workers are only checked.  A sieve, if
+    given, is read only for its limit, which x must not exceed.
     """
     if z < 2:
         raise ValueError("z must be >= 2")
-    zf = math.floor(z)
-
-    def count(lo: int, hi: int, primes: np.ndarray) -> int:
-        return int(np.count_nonzero(scan_segment(lo, hi, primes).cofactor <= zf))
-
-    return _count_segments(x, sieve, zf, segment_length, workers, count)
+    return _window_count(x, 1, math.floor(min(z, x)), sieve, segment_length, workers)
 
 
 def rough_count(x: int, y: float, sieve: FactorSieve | None = None,
                 segment_length: int | None = None, workers: int = 1) -> int:
     """Exact count of y-rough n <= x (least prime factor > y); 1 is rough.
+    The same engine as psi_smooth_count, over the primes above y.
     A sieve, if given, is read only for its limit, which x must not exceed."""
     if y < 1:
         raise ValueError("y must be >= 1")
-    yf = math.floor(y)
-
-    def count(lo: int, hi: int, primes: np.ndarray) -> int:
-        return int(np.count_nonzero(scan_segment(lo, hi, primes, rough=yf).rough))
-
-    return _count_segments(x, sieve, yf, segment_length, workers, count)
+    return _window_count(x, math.floor(min(y, x)), x, sieve, segment_length, workers)

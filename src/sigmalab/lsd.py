@@ -11,11 +11,10 @@ contributes β⁰ = 1) and Ω counts prime factors with multiplicity.  For
     X/(log X)^{1−β} · e^{−γβ} / (Γ(β) · (log Y)^β),
 
 with γ the Euler–Mascheroni constant.  This module provides the exact
-sum (one walk of the primes ≤ √X per segment through the kernel
-_scan.scan_segment, set up by _scan.plan; the primes ≤ Y only mark
-non-rough n), the main-term evaluator, a complex Γ good to ~1e-13
-relative accuracy on the region we care about, the companion Euler
-product
+sum (the Lucy + min_25 engine of _sublinear at q = 1 over the primes
+above Y, graded by Ω, after _scan.plan's checks), the main-term
+evaluator, a complex Γ good to ~1e-13 relative accuracy on the region
+we care about, the companion Euler product
 
     G(1) = ∏_{p ≤ Y} (1 − 1/p)^β · ∏_{p > Y} (1 − 1/p)^β (1 − β/p)^{−1},
 
@@ -36,8 +35,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._scan import map_segments, plan, primes_up_to, scan_segment
+from . import _sublinear
+from ._scan import plan, primes_up_to
 from .errors import GammaPoleError, OutOfRangeError
+from .factor import DEFAULT_MEMORY_BUDGET
 
 __all__ = [
     "EULER_GAMMA",
@@ -137,28 +138,28 @@ def rough_omega_histogram(
     *,
     segment_length: Optional[int] = None,
     workers: int = 1,
+    memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> np.ndarray:
     """N_k = #{n ≤ x : n is y-rough, Ω(n) = k}, as an int64 vector.
 
     n = 1 is vacuously y-rough and lands in N_0.  The vector has fixed
-    length 64, which exceeds any possible Ω below 2^64.  One walk of the
-    primes ≤ √x per segment (_scan.scan_segment) marks roughness and
-    counts Ω; the per-segment histograms are summed in segment order, so
-    the result does not depend on segment_length or workers.
+    length 64, which exceeds any possible Ω below 2^64.  _scan.plan checks
+    x, segment_length and workers; the counts then come from the sublinear
+    engine over the primes above y (_sublinear.omega_tails), as tail sums
+    #{Ω ≥ k} for k ≤ ⌊log x / log y⌋ + 1, in tables checked against
+    memory_budget bytes.  No segments are scanned, so the result does not
+    depend on segment_length or workers.
     """
     x = int(x)
     y = float(y)
     if y < 2:
         raise OutOfRangeError(f"roughness cut must satisfy y >= 2, got {y}")
-    primes, seg_len = plan(x, segment_length=segment_length, workers=workers)
-
-    def one_segment(lo: int, hi: int) -> np.ndarray:
-        # For y-rough n every prime factor exceeds y, so the count above y is Ω(n).
-        seg = scan_segment(lo, hi, primes, above=y, rough=y)
-        return np.bincount(seg.large[seg.rough], minlength=_OMEGA_WIDTH)
-
-    parts = map_segments(1, x + 1, seg_len, one_segment, workers=workers)
-    return np.sum(parts, axis=0, dtype=np.int64)
+    primes, _ = plan(x, segment_length=segment_length, workers=workers)
+    grades = min(math.floor(math.log(x) / math.log(y)) + 2, _OMEGA_WIDTH)
+    tails = _sublinear.omega_tails(x, primes, math.floor(min(y, x)), x, grades, memory_budget)
+    hist = np.zeros(_OMEGA_WIDTH, dtype=np.int64)
+    hist[:grades] = tails - np.append(tails[1:], 0)
+    return hist
 
 
 def exact_twisted_sum(
@@ -166,6 +167,7 @@ def exact_twisted_sum(
     *,
     segment_length: Optional[int] = None,
     workers: int = 1,
+    memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> complex:
     """Σ_{n ≤ x, P⁻(n) > y} β^{Ω(n)}, exactly (up to one complex add
     per histogram cell).
@@ -173,9 +175,8 @@ def exact_twisted_sum(
     The sum collapses to Σ_k N_k β^k with N_k the rough Ω-histogram,
     so the arithmetic is integer until the very last 64 multiplies.
     """
-    hist = rough_omega_histogram(
-        params.x, params.y, segment_length=segment_length, workers=workers
-    )
+    hist = rough_omega_histogram(params.x, params.y, segment_length=segment_length,
+                                 workers=workers, memory_budget=memory_budget)
     beta = params.beta
     total = 0j
     power = 1 + 0j
@@ -345,6 +346,7 @@ def convergence_scan(
     *,
     segment_length: Optional[int] = None,
     workers: int = 1,
+    memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> list[TwistedSumResult]:
     """Exact twisted sums against main terms across a grid of x.
 
@@ -355,7 +357,8 @@ def convergence_scan(
     rows = []
     for x in x_grid:
         params = TwistedSumParams(x=int(x), y=y, beta=beta)
-        exact = exact_twisted_sum(params, segment_length=segment_length, workers=workers)
+        exact = exact_twisted_sum(params, segment_length=segment_length, workers=workers,
+                                  memory_budget=memory_budget)
         main = lsd_main_term(params)
         ratio = exact / main if main != 0 else None
         rows.append(

@@ -159,6 +159,20 @@ def test_prime_recip_checks_budget_before_sieving(tmp_path, capsys):
     assert code == 0
 
 
+def test_budget_reaches_the_scans(tmp_path, capsys):
+    """--memory-budget prices the rough engine's tables and both census
+    engines: too small a budget exits 3 with one line, before any scan."""
+    for argv in (["lsd-scan", "--beta", "0.5", "--Y", "7", "--x-grid", "1e4,1e6",
+                  "--memory-budget", "1e5"],
+                 ["census", "--x", "1e9", "--q", "15", "--memory-budget", "2000"]):
+        assert cli.main(argv + ["--output", str(tmp_path / "x.json")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("sigmalab: resource budget exceeded:") and err.count("\n") == 1
+    code, _ = run(tmp_path, "lsd-scan", "--beta", "0.5", "--Y", "7", "--x-grid", "1e4,1e6",
+                  "--memory-budget", "1e6")
+    assert code == 0
+
+
 def test_help_everywhere(capsys):
     for sub in ("census", "twisted-sum", "rho-table", "eta-table",
                 "verify-s-set", "weil-check", "lsd-scan", "g-one", "v-count",

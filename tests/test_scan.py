@@ -2,8 +2,9 @@
 FactorSieve.factorize + sigma_mod + kth_largest_prime_factor below 10^6, a
 segmented trial division in Python integers near 10^12, across the switch
 near 1.28*10^18 above which sigma(n) may leave int64, and at the top of the
-int64 range, and brute force for the rough Omega-histogram.  Also the
-int64 range guard of every scan entry point."""
+int64 range.  The rough Omega-histogram and rough count, which run the
+sublinear engine, against the same factorizations and brute force.  Also
+the int64 range guard of every scan entry point."""
 
 import math
 
@@ -21,6 +22,7 @@ from sigmalab import (
     kth_largest_prime_factor,
     overrep_witness_even,
     overrep_witness_sqfree,
+    rough_count,
     rough_omega_histogram,
     sigma_mod,
     twisted_partial_sum,
@@ -125,13 +127,16 @@ def test_sigma_across_int32_switch_matches_trial_division(primes_million, top, s
 @given(lo=st.integers(1, 10**6 - 3_000), size=st.integers(1, 3_000),
        y=st.floats(2, 1_500), z=st.integers(2, 2_000))
 def test_rough_omega_and_cofactor_match_factorize(sieve_million, primes_million, lo, size, y, z):
+    """The rough half runs the sublinear engine, differenced over lo <= n < hi;
+    the smooth cofactor half runs the kernel."""
     hi = lo + size
     facts = [sieve_million.factorize(n) for n in range(lo, hi)]
-    seg = scan_segment(lo, hi, primes_million, above=y, rough=y)
     rough = [f.smallest_prime_factor > y or f.n == 1 for f in facts]
-    assert seg.rough.tolist() == rough
+    below = rough_omega_histogram(lo - 1, y) if lo > 1 else np.zeros(64, dtype=np.int64)
+    got = rough_omega_histogram(hi - 1, y) - below
+    assert rough_count(hi - 1, y) - (rough_count(lo - 1, y) if lo > 1 else 0) == sum(rough)
     omega = [f.num_prime_factors for f, r in zip(facts, rough) if r]
-    assert seg.large[seg.rough].tolist() == omega
+    assert got.tolist() == np.bincount(omega, minlength=64).tolist()
     smooth = scan_segment(lo, hi, primes_million[primes_million <= z]).cofactor
     walked = min(z, math.isqrt(hi - 1))
     assert smooth.tolist() == [

@@ -1,14 +1,17 @@
 """The sublinear class-total engine against the segment sieve, its
-independent oracle, and the rule that picks between them."""
+independent oracle, and the rule that picks between them; the same engine
+at q = 1 over a prime window, behind the rough and smooth counts, against
+brute force; and the memory budget of both."""
 
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from sigmalab import CensusFilter, OutOfRangeError, build_modulus, census
+from sigmalab import (CensusFilter, OutOfRangeError, ResourceBudgetError, build_modulus, census,
+                      psi_smooth_count, rough_count, rough_omega_histogram)
 from sigmalab import _sublinear
 from sigmalab._scan import plan
 from sigmalab.census import _class_totals, _sieve_totals
@@ -23,7 +26,7 @@ def both(x: int, q: int, f: CensusFilter) -> tuple[np.ndarray, np.ndarray]:
     """(sublinear, sieve) class totals on the same plan."""
     m = build_modulus(q)
     primes, seg_len = plan(x, q)
-    sub = _sublinear.class_totals(x, m, primes, *grading(f), f.kind == "coprime-only")
+    sub = _sublinear.class_totals(x, m, primes, *grading(f), f.kind == "coprime-only")[-1]
     return sub, _sieve_totals(x, m, f, primes, seg_len, 1)
 
 
@@ -125,3 +128,105 @@ def test_sublinear_peak_within_table_estimate():
     finally:
         tracemalloc.stop()
     assert peak <= _sublinear.table_bytes(x, q, m.phi * 3)
+
+
+# ------------------------------------------- rough and smooth counts at q = 1
+
+@pytest.fixture(scope="module")
+def brute(sieve_million):
+    """Omega(n), the least and the largest prime factor for 0 <= n <= 30 000,
+    from FactorSieve.factorize (1 for both factors at n <= 1)."""
+    facts = [sieve_million.factorize(n) for n in range(1, 30_001)]
+    omega = np.array([0] + [f.num_prime_factors for f in facts])
+    least = np.array([0] + [f.smallest_prime_factor for f in facts])
+    largest = np.array([0] + [f.largest_prime_factor for f in facts])
+    return omega, least, largest
+
+
+def check_counts(brute, x: int, y: float, z: float) -> None:
+    omega, least, largest = (a[1 : x + 1] for a in brute)
+    rough = least > y
+    rough[0] = True  # n = 1 is rough and smooth for every cut
+    assert rough_count(x, y) == np.count_nonzero(rough), (x, y)
+    assert psi_smooth_count(x, z) == np.count_nonzero(largest <= z), (x, z)
+    if y >= 2:
+        want = np.bincount(omega[rough], minlength=64)
+        got = rough_omega_histogram(x, y)
+        assert got.dtype == np.int64 and got.tobytes() == want.tobytes(), (x, y)
+
+
+cuts = st.one_of(st.floats(2, 400), st.integers(2, 40_000), st.floats(2, 40_000))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.integers(1, 30_000),
+       y=st.one_of(st.floats(1, 2, exclude_max=True), cuts), z=cuts)
+def test_rough_and_smooth_counts_match_brute_force(brute, x, y, z):
+    """Fractional cuts, cuts at or beyond x, and rough_count with 1 <= y < 2."""
+    check_counts(brute, x, y, z)
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=st.integers(20, 30_000), data=st.data())
+def test_cuts_between_sqrt_x_and_x_off_the_rows(brute, x, data):
+    """A cut c in (sqrt(x), x) that is no floor(x/m), so pi(c) is not on a
+    row of the engine's table; the same c as a fractional cut."""
+    c = data.draw(st.integers(math.isqrt(x) + 1, x - 1))
+    assume(x // (x // c) != c)
+    c += data.draw(st.sampled_from([0, 0.5]))
+    check_counts(brute, x, c, c)
+
+
+@pytest.mark.parametrize("x", [1, 2, 97, 30_000])
+def test_cuts_at_and_beyond_x(brute, x):
+    for c in (x, x + 0.5, 10.0 * x + 2, math.inf):
+        check_counts(brute, x, max(c, 2), max(c, 2))
+
+
+@pytest.mark.parametrize("kwargs", [{"segment_length": 0}, {"segment_length": -3},
+                                    {"workers": 0}, {"workers": -2}])
+def test_rough_and_smooth_counts_refuse_bad_plans(kwargs):
+    """Checked by _scan.plan, though the engine uses neither."""
+    for call in (rough_omega_histogram, rough_count, psi_smooth_count):
+        with pytest.raises(OutOfRangeError):
+            call(10**5, 7, **kwargs)
+
+
+def test_rough_histogram_tables_within_budget():
+    """The tables are priced by table_bytes before they are built: one byte
+    less raises, and the estimate bounds the traced peak."""
+    x, y = 10**6, 7
+    need = _sublinear.table_bytes(x, 1, math.floor(math.log(x) / math.log(y)) + 2)
+    with pytest.raises(ResourceBudgetError):
+        rough_omega_histogram(x, y, memory_budget=need - 1)
+    tracemalloc.start()
+    try:
+        got = rough_omega_histogram(x, y, memory_budget=need)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.sum() == rough_count(x, y) and peak <= need
+
+
+def test_census_below_the_table_budget_takes_the_sieve(monkeypatch):
+    """One byte below table_bytes the census runs the sieve, with the same
+    bytes and a traced peak within the sieve's estimate plus the primes
+    <= sqrt(x); below that estimate too it raises."""
+    x, m = 1 << 18, build_modulus(5)
+    want = census(x, m)
+    calls = []
+    real = _sublinear.class_totals
+    monkeypatch.setattr(_sublinear, "class_totals",
+                        lambda *args: calls.append(args[0]) or real(*args))
+    budget = _sublinear.table_bytes(x, 5, m.phi) - 1
+    tracemalloc.start()
+    try:
+        got = census(x, m, segment_length=4_096, memory_budget=budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == [] and got.counts.value_array.tobytes() == want.counts.value_array.tobytes()
+    assert got.total_coprime == want.total_coprime
+    assert peak <= 8 * 5 * 2 + 52 * 4_096 + 8 * len(plan(x)[0])
+    with pytest.raises(ResourceBudgetError):
+        census(x, m, memory_budget=budget)
