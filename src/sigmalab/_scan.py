@@ -78,13 +78,13 @@ def primes_up_to(limit: int) -> np.ndarray:
 
 
 def plan(x: int, q: int = 1, segment_length: Optional[int] = None,
-         prime_limit: Optional[int] = None, workers: int = 1) -> tuple[np.ndarray, int]:
+         workers: int = 1) -> tuple[np.ndarray, int]:
     """Validate a scan of 1 ≤ n ≤ x (σ mod q, if any) and set it up.
 
     Refuses x < 1, q < 1 and segment_length < 1, then the ranges that
     check_scan_range refuses, then workers < 1, all with OutOfRangeError
-    and before any table is built.  Returns the primes ≤ min(prime_limit,
-    √x) and the segment length (DEFAULT_SEGMENT_LENGTH for None).
+    and before any table is built.  Returns the primes ≤ √x and the
+    segment length (DEFAULT_SEGMENT_LENGTH for None).
     """
     if x < 1:
         raise OutOfRangeError(f"x must be >= 1, got {x}")
@@ -97,14 +97,13 @@ def plan(x: int, q: int = 1, segment_length: Optional[int] = None,
     check_scan_range(x, q)
     if workers < 1:
         raise OutOfRangeError(f"workers must be at least 1, got {workers}")
-    limit = math.isqrt(x) if prime_limit is None else min(prime_limit, math.isqrt(x))
-    return primes_up_to(limit), segment_length
+    return primes_up_to(math.isqrt(x)), segment_length
 
 
 class Segment(NamedTuple):
-    """scan_segment's arrays over lo ≤ n < hi; one not asked for is None."""
+    """scan_segment's arrays over lo ≤ n < hi; large is None unless asked for."""
 
-    sigma: Optional[np.ndarray]
+    sigma: np.ndarray
     large: Optional[np.ndarray]
     cofactor: np.ndarray
 
@@ -153,16 +152,16 @@ def scan_segment(
     hi: int,
     primes: np.ndarray,
     *,
-    q: Optional[int] = None,
+    q: int,
     above: Optional[float] = None,
 ) -> Segment:
     """One walk of the ascending primes ≤ √(hi − 1) over lo ≤ n < hi, lo ≥ 1.
 
-    Returns int64 σ(n) mod q if q is given; the int8 number of prime
-    factors > above, with multiplicity, if above is; and always the
-    cofactor, n over its part on the primes divided out.  σ and the
-    count need every prime ≤ √(hi − 1), and then the cofactor is 1 or a
-    prime; a cofactor alone may use fewer primes.  The cofactor is int32 when hi ≤ 2³¹ − 1 and int64 above.
+    Returns int64 σ(n) mod q; the int8 number of prime factors > above,
+    with multiplicity, if above is given; and the cofactor, n over its
+    part on the primes divided out.  σ and the count need every prime
+    ≤ √(hi − 1), and then the cofactor is 1 or a prime.  The cofactor is
+    int32 when hi ≤ 2³¹ − 1 and int64 above.
 
     The returned arrays are views of the calling thread's kernel arrays,
     which every call reuses: they stay valid until the same thread's
@@ -191,18 +190,16 @@ def scan_segment(
     if above is not None:
         large = _scratch("large", size, np.int8)
         large.fill(0)
-    sig = None
-    if q is not None:
-        sig = _scratch("sigma", size, np.int64)
-        sig.fill(1 % q)
-        buf = _scratch("factor", size, np.int64)
-        omega_max = sum(math.prod(_FIRST_PRIMES[:k]) <= top for k in range(1, 17))
-        # No entry exceeds σ(n) before the final reduction, and σ(n) <
-        # top·∏ p/(p − 1) over the first ω_max primes: below about
-        # 1.28·10¹⁸ that fits int64 whatever q is.
-        first = _FIRST_PRIMES[:omega_max]
-        exact = top * math.prod(first) <= _INT64_MAX * math.prod(p - 1 for p in first)
-        reduce_each = not exact and (q - 1) ** omega_max > _INT64_MAX
+    sig = _scratch("sigma", size, np.int64)
+    sig.fill(1 % q)
+    buf = _scratch("factor", size, np.int64)
+    omega_max = sum(math.prod(_FIRST_PRIMES[:k]) <= top for k in range(1, 17))
+    # No entry exceeds σ(n) before the final reduction, and σ(n) <
+    # top·∏ p/(p − 1) over the first ω_max primes: below about
+    # 1.28·10¹⁸ that fits int64 whatever q is.
+    first = _FIRST_PRIMES[:omega_max]
+    exact = top * math.prod(first) <= _INT64_MAX * math.prod(p - 1 for p in first)
+    reduce_each = not exact and (q - 1) ** omega_max > _INT64_MAX
     rem = _scratch("cofactor", size, width)
     _fill_range(rem, lo)
     acc = _scratch("found", size, width)
@@ -221,35 +218,33 @@ def scan_segment(
         if large is not None and p > above:
             for sj, pj in strides:
                 large[sj::pj] += 1
-        if sig is not None:
-            # σ(p^e) mod q by Horner, written at the multiples of p^e.
-            c = (1 + p) % q
-            view = sig[s::p]
-            if len(strides) == 1:
-                view *= c
-            else:
-                fac = buf[: view.shape[0]]
-                fac.fill(c)
-                for sj, pj in strides[1:]:
-                    c = (c * p + 1) % q
-                    fac[(sj - s) // p :: pj // p] = c
-                view *= fac
-            if reduce_each:
-                view %= q
+        # σ(p^e) mod q by Horner, written at the multiples of p^e.
+        c = (1 + p) % q
+        view = sig[s::p]
+        if len(strides) == 1:
+            view *= c
+        else:
+            fac = buf[: view.shape[0]]
+            fac.fill(c)
+            for sj, pj in strides[1:]:
+                c = (c * p + 1) % q
+                fac[(sj - s) // p :: pj // p] = c
+            view *= fac
+        if reduce_each:
+            view %= q
     if walk.size:
         np.floor_divide(rem, acc, out=rem)
+    # The leftover prime P contributes σ(P) = P + 1; rem = 1 contributes 1.
+    # Under the σ(n) bound it needs no reduction; above it, hi > q and
+    # rem is int64.
     mask = _scratch("leftover", size, bool)
-    if sig is not None:
-        # The leftover prime P contributes σ(P) = P + 1; rem = 1 contributes 1.
-        # Under the σ(n) bound it needs no reduction; above it, hi > q and
-        # rem is int64.
-        np.greater(rem, 1, out=mask)
-        sig_p = _scratch("spare", size, width)
-        np.add(rem, mask, out=sig_p)
-        if not exact:
-            _reduce(sig_p, q, acc)
-        sig *= sig_p
-        _reduce(sig, q, buf)
+    np.greater(rem, 1, out=mask)
+    sig_p = _scratch("spare", size, width)
+    np.add(rem, mask, out=sig_p)
+    if not exact:
+        _reduce(sig_p, q, acc)
+    sig *= sig_p
+    _reduce(sig, q, buf)
     if large is not None:
         np.greater(rem, max(above, 1), out=mask)
         large += mask

@@ -76,6 +76,7 @@ _FILTER_KINDS = ("all", "coprime-only", "pk-threshold")
 # Classes per step when class arrays are copied, iterated or printed; one
 # whole-array step would hold φ(q)-long temporaries or lists at once.
 _CHUNK = 1 << 16
+_PRIME_CHUNK = 1 << 20  # primes per step of prime_reciprocal_sum
 _INT64_LIMIT = 1 << 63
 
 
@@ -410,6 +411,7 @@ def twisted_partial_sum(
     *,
     segment_length: Optional[int] = None,
     workers: int = 1,
+    memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> complex:
     """Σ χ(σ(n)) over filtered n ≤ x.
 
@@ -418,13 +420,14 @@ def twisted_partial_sum(
     coprime total of the census; for nonprincipal characters
     orthogonality makes it the error term of equidistribution.  Taken as
     the character transform of the census's exact class totals, so it
-    does not depend on the engine, segment_length or workers.
+    does not depend on the engine, segment_length or workers; those
+    totals are checked against memory_budget bytes as in census.
     """
     x = int(x)
     if f is None:
         f = CensusFilter.all_integers()
     m = chi.modulus
-    totals = _class_totals(x, m, f, segment_length, workers)
+    totals = _class_totals(x, m, f, segment_length, workers, memory_budget)
     return complex(m.character_transform(totals)[chi.index])
 
 
@@ -433,7 +436,6 @@ def prime_reciprocal_sum(
     m: Modulus,
     x: int,
     *,
-    chunk: int = 1 << 20,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> float:
     """Σ_{p ≤ x} 1/p over primes with gcd(F(p), q) = 1.
@@ -442,7 +444,7 @@ def prime_reciprocal_sum(
     Grows like (density)·log log x, where the density is the fraction
     of unit classes u mod q with F(u) again a unit; the q = 1 case is
     the classic Σ 1/p.  Summation is sequential in ascending prime
-    order with a fixed chunk size, hence reproducible to the bit.
+    order in fixed chunks of 2²⁰ primes, hence reproducible to the bit.
 
     The primes come from one bool sieve of x + 1 bytes and an int64
     array of π(x) < 1.26·x/ln x entries, and each chunk adds about five
@@ -454,7 +456,7 @@ def prime_reciprocal_sum(
         raise OutOfRangeError(f"x must be >= 2, got {x}")
     check_scan_range(x)
     n_primes = math.ceil(1.26 * x / math.log(x))
-    need = x + 1 + 8 * n_primes + 5 * 8 * min(chunk, n_primes)
+    need = x + 1 + 8 * n_primes + 5 * 8 * min(_PRIME_CHUNK, n_primes)
     if need > memory_budget:
         raise ResourceBudgetError(
             f"prime table for x = {x} needs about {need} bytes, "
@@ -462,8 +464,8 @@ def prime_reciprocal_sum(
     primes = primes_up_to(x)
     q = m.q
     total = 0.0
-    for start in range(0, primes.shape[0], chunk):
-        block = primes[start : start + chunk]
+    for start in range(0, primes.shape[0], _PRIME_CHUNK):
+        block = primes[start : start + _PRIME_CHUNK]
         values = F.evaluate_array(block % q, q)
         ok = np.gcd(values, q) == 1
         total += float(np.sum(1.0 / block[ok].astype(np.float64)))

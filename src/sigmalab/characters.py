@@ -52,6 +52,13 @@ def trial_factorization(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def _require_prime(ell: int, floor: int = 2) -> int:
+    ell = int(ell)
+    if ell < floor or trial_factorization(ell) != ((ell, 1),):
+        raise OutOfRangeError(f"need a prime >= {floor}, got {ell}")
+    return ell
+
+
 def _phi_prime_power(ell: int, e: int) -> int:
     return 1 if e == 0 else ell ** (e - 1) * (ell - 1)
 

@@ -32,6 +32,7 @@ import numpy as np
 from .characters import (
     DirichletCharacter,
     Modulus,
+    _require_prime,
     shared_modulus,
     trial_factorization,
 )
@@ -91,15 +92,21 @@ def rho_closed_form(chi: DirichletCharacter) -> complex:
     return complex(rho_exact(chi))
 
 
-def _require_odd_prime_power(m: Modulus) -> tuple[int, int]:
+def _require_odd_prime_power(m: Modulus, ell: int | None,
+                             e: int | None) -> tuple[int, int]:
+    """(p, k) with q = p^k, p odd; ell and e, when given, must be p and k."""
     if len(m.factorization) != 1:
         raise UnsupportedModulusError(
             f"modulus {m.q} is not a prime power")
-    (ell, e), = m.factorization
-    if ell == 2:
+    (p, k), = m.factorization
+    if p == 2:
         raise UnsupportedModulusError(
             "local shifted sums are defined for odd prime powers only")
-    return ell, e
+    if ell is not None and ell != p:
+        raise ValueError(f"modulus {m.q} is not a power of {ell}")
+    if e is not None and e != k:
+        raise ValueError(f"modulus {m.q} is not {p}^{e}")
+    return p, k
 
 
 def s_chi_ell(chi: DirichletCharacter, ell: int | None = None,
@@ -109,12 +116,8 @@ def s_chi_ell(chi: DirichletCharacter, ell: int | None = None,
     This is the local factor of rho_chi * phi(q): over odd q, the product of
     these sums across the prime-power blocks recovers the full shifted sum.
     """
-    p, k = _require_odd_prime_power(chi.modulus)
-    if ell is not None and ell != p:
-        raise ValueError(f"modulus {chi.modulus.q} is not a power of {ell}")
-    if e is not None and e != k:
-        raise ValueError(f"modulus {chi.modulus.q} is not {p}^{e}")
     m = chi.modulus
+    _require_odd_prime_power(m, ell, e)
     table = chi.complex_table()
     units = m.units
     return complex(table[(units + 1) % m.q].sum())
@@ -127,11 +130,7 @@ def s_chi_ell_closed_form(chi: DirichletCharacter, ell: int | None = None,
     With f the conductor: ell^{e-1}(ell-2) when f = 1, -ell^{e-1} when
     f = ell, and 0 when ell^2 | f.
     """
-    p, k = _require_odd_prime_power(chi.modulus)
-    if ell is not None and ell != p:
-        raise ValueError(f"modulus {chi.modulus.q} is not a power of {ell}")
-    if e is not None and e != k:
-        raise ValueError(f"modulus {chi.modulus.q} is not {p}^{e}")
+    p, k = _require_odd_prime_power(chi.modulus, ell, e)
     f = chi.conductor
     if f > p:
         return 0
@@ -217,8 +216,7 @@ def weil_clz_check(ell: int, e: int) -> WeilBoundReport:
     transform, O(ell^e log ell^e). worst_index is the least primitive index
     whose |sum| is within 1e-9 * bound of max_abs: rounding decides ties.
     """
-    if trial_factorization(ell) != ((ell, 1),) or ell < 5:
-        raise OutOfRangeError(f"ell must be a prime at least 5, got {ell}")
+    ell = _require_prime(ell, floor=5)
     if e < 2:
         raise OutOfRangeError(f"e must be at least 2, got {e}")
     modulus = ell ** e

@@ -357,7 +357,7 @@ def _cmd_twisted_sum(args: argparse.Namespace) -> int:
     chi = m.character(args.index)
     f = _census_filter(args)
     value = twisted_partial_sum(args.x, chi, f, segment_length=args.segment_length,
-                                workers=args.workers)
+                                workers=args.workers, memory_budget=_budget(args))
     payload = {
         "x": args.x,
         "q": m.q,
@@ -417,9 +417,7 @@ def _cmd_weil_check(args: argparse.Namespace) -> int:
 # -------------------------------------------------------------- lsd-scan
 
 def _cmd_lsd_scan(args: argparse.Namespace) -> int:
-    results = convergence_scan(args.beta, args.x_grid, args.y,
-                               segment_length=args.segment_length,
-                               workers=args.workers, memory_budget=_budget(args))
+    results = convergence_scan(args.beta, args.x_grid, args.y, memory_budget=_budget(args))
     payload = {"rows": [{
         "x": r.params.x,
         "y": r.params.y,
@@ -613,7 +611,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Y", dest="y", type=_parse_float, required=True)
     p.add_argument("--x-grid", dest="x_grid", type=_parse_int_list, required=True,
                    metavar="X1,X2,...")
-    _add_common(p, parallel=True)
+    _add_common(p)
     p.set_defaults(func=_cmd_lsd_scan)
 
     p = sub.add_parser("g-one", help="the G(1) Euler product",

@@ -3,8 +3,9 @@
 Smallest-prime-factor tables, canonical factorizations, sigma(n) mod q,
 ordered prime-factor statistics, 2-adic square decompositions, and exact
 smooth/rough counts, which run the sublinear engine of _sublinear over a
-window of primes rather than a sieve. Everything is exact integer
-arithmetic; floating point only enters through cutoffs supplied by the caller.
+window of primes rather than a sieve, and so take no segment length or
+worker count. Everything is exact integer arithmetic; floating point only
+enters through cutoffs supplied by the caller.
 
 Conventions: P+(1) = P-(1) = 1, the k-th largest prime factor of n is taken
 with multiplicity and defaults to 1 when n has fewer than k prime factors,
@@ -140,8 +141,7 @@ class FactorSieve:
     it, so a sieve used only for its limit costs nothing.
     """
 
-    def __init__(self, limit: int, segment_length: int = DEFAULT_SEGMENT_LENGTH,
-                 memory_budget: int = DEFAULT_MEMORY_BUDGET) -> None:
+    def __init__(self, limit: int, *, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> None:
         if limit < 2:
             raise ValueError("limit must be >= 2")
         need = 4 * (limit + 1)
@@ -152,7 +152,6 @@ class FactorSieve:
         if limit >= 2**32:
             raise ResourceBudgetError("spf entries are uint32; limit must be < 2^32")
         self.limit = int(limit)
-        self.segment_length = int(segment_length)
         self._spf: np.ndarray | None = None
         self._primes: np.ndarray | None = None
 
@@ -162,7 +161,7 @@ class FactorSieve:
             return self._spf
         base_primes = primes_up_to(math.isqrt(self.limit))
         spf = np.zeros(self.limit + 1, dtype=np.uint32)
-        for lo, hi in segment_bounds(2, self.limit + 1, self.segment_length):
+        for lo, hi in segment_bounds(2, self.limit + 1, DEFAULT_SEGMENT_LENGTH):
             for p in base_primes:
                 p = int(p)
                 if p * p >= hi:
@@ -207,7 +206,7 @@ class FactorSieve:
         if self._primes is None:
             spf = self._table()
             chunks = []
-            for lo, hi in segment_bounds(2, self.limit + 1, self.segment_length):
+            for lo, hi in segment_bounds(2, self.limit + 1, DEFAULT_SEGMENT_LENGTH):
                 sl = spf[lo:hi]
                 idx = np.flatnonzero(sl == np.arange(lo, hi, dtype=np.uint32))
                 chunks.append((idx + lo).astype(np.int64))
@@ -221,35 +220,31 @@ class FactorSieve:
         return ps[: int(np.searchsorted(ps, bound, side="right"))]
 
 
-def _window_count(x: int, lo: int, hi: int, sieve: FactorSieve | None,
-                  segment_length: int | None, workers: int) -> int:
+def _window_count(x: int, lo: int, hi: int, sieve: FactorSieve | None) -> int:
     """#{n <= x : every prime factor of n in (lo, hi]} from the sublinear engine
     at q = 1, after _scan.plan's checks; x must not exceed a given sieve's limit."""
     if sieve is not None and x > sieve.limit:
         raise OutOfRangeError(f"x = {x} exceeds sieve limit {sieve.limit}")
-    primes, _ = plan(x, segment_length=segment_length, workers=workers)
+    primes, _ = plan(x)
     return int(_sublinear.omega_tails(x, primes, lo, hi, 1, DEFAULT_MEMORY_BUDGET)[0])
 
 
-def psi_smooth_count(x: int, z: float, sieve: FactorSieve | None = None,
-                     segment_length: int | None = None, workers: int = 1) -> int:
+def psi_smooth_count(x: int, z: float, sieve: FactorSieve | None = None) -> int:
     """Exact count of z-smooth n <= x (largest prime factor <= z); 1 is smooth.
 
     The sublinear engine runs over the primes <= z, in tables of about
-    2*sqrt(x) rows checked against DEFAULT_MEMORY_BUDGET.  It scans no
-    segments, so segment_length and workers are only checked.  A sieve, if
+    2*sqrt(x) rows checked against DEFAULT_MEMORY_BUDGET.  A sieve, if
     given, is read only for its limit, which x must not exceed.
     """
     if z < 2:
         raise ValueError("z must be >= 2")
-    return _window_count(x, 1, math.floor(min(z, x)), sieve, segment_length, workers)
+    return _window_count(x, 1, math.floor(min(z, x)), sieve)
 
 
-def rough_count(x: int, y: float, sieve: FactorSieve | None = None,
-                segment_length: int | None = None, workers: int = 1) -> int:
+def rough_count(x: int, y: float, sieve: FactorSieve | None = None) -> int:
     """Exact count of y-rough n <= x (least prime factor > y); 1 is rough.
     The same engine as psi_smooth_count, over the primes above y.
     A sieve, if given, is read only for its limit, which x must not exceed."""
     if y < 1:
         raise ValueError("y must be >= 1")
-    return _window_count(x, math.floor(min(y, x)), x, sieve, segment_length, workers)
+    return _window_count(x, math.floor(min(y, x)), x, sieve)

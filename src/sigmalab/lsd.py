@@ -12,7 +12,8 @@ contributes β⁰ = 1) and Ω counts prime factors with multiplicity.  For
 
 with γ the Euler–Mascheroni constant.  This module provides the exact
 sum (the Lucy + min_25 engine of _sublinear at q = 1 over the primes
-above Y, graded by Ω, after _scan.plan's checks), the main-term
+above Y, graded by Ω, after _scan.plan's checks of x; it scans no
+segments, so it takes no segment length or worker count), the main-term
 evaluator, a complex Γ good to ~1e-13 relative accuracy on the region
 we care about, the companion Euler product
 
@@ -136,25 +137,21 @@ def rough_omega_histogram(
     x: int,
     y: float,
     *,
-    segment_length: Optional[int] = None,
-    workers: int = 1,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> np.ndarray:
     """N_k = #{n ≤ x : n is y-rough, Ω(n) = k}, as an int64 vector.
 
     n = 1 is vacuously y-rough and lands in N_0.  The vector has fixed
     length 64, which exceeds any possible Ω below 2^64.  _scan.plan checks
-    x, segment_length and workers; the counts then come from the sublinear
-    engine over the primes above y (_sublinear.omega_tails), as tail sums
-    #{Ω ≥ k} for k ≤ ⌊log x / log y⌋ + 1, in tables checked against
-    memory_budget bytes.  No segments are scanned, so the result does not
-    depend on segment_length or workers.
+    x; the counts then come from the sublinear engine over the primes
+    above y (_sublinear.omega_tails), as tail sums #{Ω ≥ k} for
+    k ≤ ⌊log x / log y⌋ + 1, in tables checked against memory_budget bytes.
     """
     x = int(x)
     y = float(y)
     if y < 2:
         raise OutOfRangeError(f"roughness cut must satisfy y >= 2, got {y}")
-    primes, _ = plan(x, segment_length=segment_length, workers=workers)
+    primes, _ = plan(x)
     grades = min(math.floor(math.log(x) / math.log(y)) + 2, _OMEGA_WIDTH)
     tails = _sublinear.omega_tails(x, primes, math.floor(min(y, x)), x, grades, memory_budget)
     hist = np.zeros(_OMEGA_WIDTH, dtype=np.int64)
@@ -165,8 +162,6 @@ def rough_omega_histogram(
 def exact_twisted_sum(
     params: TwistedSumParams,
     *,
-    segment_length: Optional[int] = None,
-    workers: int = 1,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> complex:
     """Σ_{n ≤ x, P⁻(n) > y} β^{Ω(n)}, exactly (up to one complex add
@@ -175,8 +170,7 @@ def exact_twisted_sum(
     The sum collapses to Σ_k N_k β^k with N_k the rough Ω-histogram,
     so the arithmetic is integer until the very last 64 multiplies.
     """
-    hist = rough_omega_histogram(params.x, params.y, segment_length=segment_length,
-                                 workers=workers, memory_budget=memory_budget)
+    hist = rough_omega_histogram(params.x, params.y, memory_budget=memory_budget)
     beta = params.beta
     total = 0j
     power = 1 + 0j
@@ -344,8 +338,6 @@ def convergence_scan(
     x_grid: Sequence[int],
     y: float,
     *,
-    segment_length: Optional[int] = None,
-    workers: int = 1,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> list[TwistedSumResult]:
     """Exact twisted sums against main terms across a grid of x.
@@ -357,8 +349,7 @@ def convergence_scan(
     rows = []
     for x in x_grid:
         params = TwistedSumParams(x=int(x), y=y, beta=beta)
-        exact = exact_twisted_sum(params, segment_length=segment_length, workers=workers,
-                                  memory_budget=memory_budget)
+        exact = exact_twisted_sum(params, memory_budget=memory_budget)
         main = lsd_main_term(params)
         ratio = exact / main if main != 0 else None
         rows.append(

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from ._scan import plan, primes_up_to
-from .characters import Modulus, _crt_pair, build_modulus, trial_factorization
+from .characters import Modulus, _crt_pair, _require_prime, build_modulus
 from .census import CensusFilter, census
 from .errors import OutOfRangeError, ResourceBudgetError
 from .factor import Factorization, sigma_mod
@@ -77,13 +77,6 @@ class CurveCount:
     w: Optional[int]
     count: int
     bound_certified: bool
-
-
-def _require_prime(ell: int, floor: int = 2) -> int:
-    ell = int(ell)
-    if ell < floor or trial_factorization(ell) != ((ell, 1),):
-        raise OutOfRangeError(f"need a prime >= {floor}, got {ell}")
-    return ell
 
 
 def _block_value_distribution(pp: int, ell: int) -> tuple[np.ndarray, np.ndarray]:

@@ -41,7 +41,6 @@ from sigmalab import (
     rho_brute,
     rho_closed_form,
     rho_power_sum,
-    rough_omega_histogram,
     twisted_partial_sum,
     two_adic_square_form,
     v_count,
@@ -371,15 +370,6 @@ def test_criterion_15_worker_determinism(sieve_engine):
     c1 = census(10 ** 6, build_modulus(15), f, workers=1)
     c8 = census(10 ** 6, build_modulus(15), f, segment_length=9_973, workers=8)
     checks.append(("filtered census q=15", c1.counts == c8.counts))
-
-    h1 = rough_omega_histogram(10 ** 7, 10.0, workers=1)
-    h8 = rough_omega_histogram(10 ** 7, 10.0, segment_length=65_536, workers=8)
-    checks.append(("rough histogram 1e7", bool(np.array_equal(h1, h8))))
-
-    p = TwistedSumParams(10 ** 6, 7.0, 0.5 + 0.5j)
-    t1 = exact_twisted_sum(p, workers=1)
-    t8 = exact_twisted_sum(p, segment_length=4_096, workers=8)
-    checks.append(("twisted sum", t1 == t8))
 
     w1 = overrep_witness_sqfree(5, 10 ** 6, workers=1)
     w8 = overrep_witness_sqfree(5, 10 ** 6, workers=8)

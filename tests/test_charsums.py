@@ -14,7 +14,9 @@ import pytest
 
 from sigmalab import (
     EXCEPTIONAL_CONDUCTORS,
+    OutOfRangeError,
     PolynomialSpec,
+    UnsupportedModulusError,
     alpha_F,
     build_modulus,
     enumerate_characters,
@@ -98,6 +100,20 @@ def test_s_chi_ell_closed_form_cases():
             direct = s_chi_ell(chi, ell)
             closed = s_chi_ell_closed_form(chi, ell)
             assert abs(direct - closed) < 1e-9
+
+
+@pytest.mark.parametrize("fn", [s_chi_ell, s_chi_ell_closed_form])
+def test_s_chi_ell_refuses_a_wrong_ell_or_e(fn):
+    """An ell or e that disagrees with q = 5^2 raises ValueError, as does a
+    q that is no odd prime power; the matching pair is accepted."""
+    chi = build_modulus(25).character(1)
+    assert fn(chi, 5, 2) == fn(chi)
+    for ell, e in ((3, None), (7, 2), (None, 1), (5, 3)):
+        with pytest.raises(ValueError):
+            fn(chi, ell, e)
+    for q in (15, 8):
+        with pytest.raises(UnsupportedModulusError):
+            fn(build_modulus(q).character(1))
 
 
 def test_eta_factored_small_scan():
@@ -245,6 +261,13 @@ def test_weil_bound_extremes():
     assert report.all_within
     report = weil_clz_check(11, 2)
     assert report.all_within and report.max_ratio <= 1 + 1e-9
+
+
+@pytest.mark.parametrize("ell, e", [(4, 2), (3, 2), (7, 1)])
+def test_weil_check_refuses_bad_ell_or_e(ell, e):
+    """ell must be a prime at least 5 and e at least 2."""
+    with pytest.raises(OutOfRangeError):
+        weil_clz_check(ell, e)
 
 
 def test_tables_align_with_single_calls():

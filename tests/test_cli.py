@@ -161,10 +161,13 @@ def test_prime_recip_checks_budget_before_sieving(tmp_path, capsys):
 
 def test_budget_reaches_the_scans(tmp_path, capsys):
     """--memory-budget prices the rough engine's tables and both census
-    engines: too small a budget exits 3 with one line, before any scan."""
+    engines, under census and twisted-sum: too small a budget exits 3 with
+    one line, before any scan."""
     for argv in (["lsd-scan", "--beta", "0.5", "--Y", "7", "--x-grid", "1e4,1e6",
                   "--memory-budget", "1e5"],
-                 ["census", "--x", "1e9", "--q", "15", "--memory-budget", "2000"]):
+                 ["census", "--x", "1e9", "--q", "15", "--memory-budget", "2000"],
+                 ["twisted-sum", "--x", "1e6", "--q", "15", "--index", "1",
+                  "--memory-budget", "2000"]):
         assert cli.main(argv + ["--output", str(tmp_path / "x.json")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("sigmalab: resource budget exceeded:") and err.count("\n") == 1
@@ -174,6 +177,9 @@ def test_budget_reaches_the_scans(tmp_path, capsys):
 
 
 def test_help_everywhere(capsys):
+    """Every subcommand documents --format; only the four that may run the
+    segment sieve take --workers and --segment-length."""
+    sieve_scans = {"census", "twisted-sum", "witness-even", "witness-sqfree"}
     for sub in ("census", "twisted-sum", "rho-table", "eta-table",
                 "verify-s-set", "weil-check", "lsd-scan", "g-one", "v-count",
                 "lift-count", "curve-count", "witness-even", "witness-sqfree",
@@ -183,6 +189,8 @@ def test_help_everywhere(capsys):
         assert exc.value.code == 0
         text = capsys.readouterr().out
         assert "--format" in text
+        for flag in ("--workers", "--segment-length"):
+            assert (flag in text) == (sub in sieve_scans), (sub, flag)
 
 
 def test_prime_recip_coeffs(tmp_path):
@@ -323,7 +331,7 @@ def test_census_csv_bytes_pinned(tmp_path):
     ["witness-sqfree", "--Y", "7", "--x", "1e19"],
     ["census", "--x", "1000", "--q", "5", "--segment-length", "-3"],
     ["census", "--x", "1000", "--q", "5", "--segment-length", "0"],
-    ["lsd-scan", "--beta", "0.5", "--Y", "7", "--x-grid", "1000", "--segment-length", "-3"],
+    ["twisted-sum", "--x", "1000", "--q", "7", "--index", "1", "--segment-length", "-3"],
     ["witness-sqfree", "--Y", "7", "--x", "1e4", "--segment-length", "-3"],
     ["twisted-sum", "--x", "1000", "--q", "7", "--index", "99"],
     ["twisted-sum", "--x", "1000", "--q", "7", "--index", "-1"],

@@ -88,7 +88,7 @@ CASES = {
     # rough sums, Euler products, prime reciprocals
     "lsd_scan": ["lsd-scan", "--beta", "0.5+0.5j", "--Y", "7", "--x-grid", "1000,1e4,1e5"],
     "lsd_scan_csv": ["lsd-scan", "--beta", "0.3", "--Y", "11", "--x-grid", "1e4,1e5",
-                     "--segment-length", "997", "--workers", "2", "--format", "csv"],
+                     "--format", "csv"],
     "lsd_scan_beta0": ["lsd-scan", "--beta", "0", "--Y", "7", "--x-grid", "1000,1e4"],
     "lsd_scan_beta0_csv": ["lsd-scan", "--beta", "0", "--Y", "7", "--x-grid", "1000,1e4",
                            "--format", "csv"],

@@ -117,29 +117,6 @@ def test_smooth_and_rough_counts_brute(sieve_small):
         assert rough_count(x, bound, sieve_small) == want_rough
 
 
-def test_counts_invariant_under_segmenting(sieve_small):
-    for workers in (1, 4):
-        assert psi_smooth_count(100_000 // 5, 19, sieve_small,
-                                segment_length=1_009,
-                                workers=workers) == psi_smooth_count(
-                                    20_000, 19, sieve_small)
-        assert rough_count(20_000, 13, sieve_small, segment_length=777,
-                           workers=workers) == rough_count(
-                               20_000, 13, sieve_small)
-
-
-def test_counts_identical_across_segments_and_workers(sieve_small):
-    """Equal ints for workers {1, 2, 8} x segment lengths {default, 997, 9973}."""
-    x = sieve_small.limit
-    smooth = psi_smooth_count(x, 19, sieve_small)
-    rough = rough_count(x, 13, sieve_small)
-    for seg in (None, 997, 9973):
-        for workers in (1, 2, 8):
-            got = (psi_smooth_count(x, 19, sieve_small, segment_length=seg, workers=workers),
-                   rough_count(x, 13, sieve_small, segment_length=seg, workers=workers))
-            assert got == (smooth, rough) and all(type(v) is int for v in got), (seg, workers)
-
-
 def test_counts_without_a_sieve(sieve_small):
     """The sieve only bounds x, so leaving it out changes no count."""
     for x in (1, 2, 1_000, 20_000):
@@ -191,13 +168,6 @@ def test_odd_part_square_array_matches_scalar(sieve_small):
     for n in ns:
         assert vec[n - 1] == two_adic_square_form(
             sieve_small.factorize(int(n))).valid
-
-
-def test_sieve_invariant_under_segment_length():
-    a = FactorSieve(50_000)
-    b = FactorSieve(50_000, segment_length=1_013)
-    for n in list(range(2, 2_000)) + [49_999, 50_000]:
-        assert a.factorize(n).factors == b.factorize(n).factors
 
 
 def test_build_sieve_equivalent():

@@ -9,7 +9,6 @@ import cmath
 import math
 
 import mpmath
-import numpy as np
 import pytest
 
 from sigmalab import (
@@ -119,21 +118,6 @@ def test_rough_omega_histogram_brute(sieve_small):
             assert hist[k] == n, (x, y, k)
         assert hist.sum() == sum(want.values())
         assert hist.sum() == rough_count(x, y, sieve_small)
-
-
-def test_histogram_invariant_under_workers():
-    base = rough_omega_histogram(20_000, 7)
-    again = rough_omega_histogram(20_000, 7, segment_length=331, workers=8)
-    assert np.array_equal(base, again)
-
-
-def test_histogram_bytes_independent_of_segments_and_workers():
-    """Byte-identical for workers {1, 2, 8} x segment lengths {default, 997, 9973}."""
-    base = rough_omega_histogram(200_000, 7).tobytes()
-    for seg in (None, 997, 9973):
-        for workers in (1, 2, 8):
-            got = rough_omega_histogram(200_000, 7, segment_length=seg, workers=workers)
-            assert got.tobytes() == base, (seg, workers)
 
 
 def test_twisted_sum_tiny_closed_form():

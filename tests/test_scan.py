@@ -125,10 +125,10 @@ def test_sigma_across_int32_switch_matches_trial_division(primes_million, top, s
 
 @SETTINGS
 @given(lo=st.integers(1, 10**6 - 3_000), size=st.integers(1, 3_000),
-       y=st.floats(2, 1_500), z=st.integers(2, 2_000))
-def test_rough_omega_and_cofactor_match_factorize(sieve_million, primes_million, lo, size, y, z):
-    """The rough half runs the sublinear engine, differenced over lo <= n < hi;
-    the smooth cofactor half runs the kernel."""
+       y=st.floats(2, 1_500))
+def test_rough_omega_and_cofactor_match_factorize(sieve_million, lo, size, y):
+    """The rough histogram and count, from the sublinear engine, differenced
+    over lo <= n < hi."""
     hi = lo + size
     facts = [sieve_million.factorize(n) for n in range(lo, hi)]
     rough = [f.smallest_prime_factor > y or f.n == 1 for f in facts]
@@ -137,21 +137,16 @@ def test_rough_omega_and_cofactor_match_factorize(sieve_million, primes_million,
     assert rough_count(hi - 1, y) - (rough_count(lo - 1, y) if lo > 1 else 0) == sum(rough)
     omega = [f.num_prime_factors for f, r in zip(facts, rough) if r]
     assert got.tolist() == np.bincount(omega, minlength=64).tolist()
-    smooth = scan_segment(lo, hi, primes_million[primes_million <= z]).cofactor
-    walked = min(z, math.isqrt(hi - 1))
-    assert smooth.tolist() == [
-        math.prod(p**e for p, e in f.factors if p > walked) for f in facts]
 
 
 @settings(max_examples=25, deadline=None)
-@given(x=st.integers(1, 30_000), y=st.floats(2, 300),
-       seg=st.sampled_from([None, 1, 97, 4_096]), workers=st.sampled_from([1, 3]))
-def test_rough_omega_histogram_matches_brute_force(omega_and_spf, x, y, seg, workers):
+@given(x=st.integers(1, 30_000), y=st.floats(2, 300))
+def test_rough_omega_histogram_matches_brute_force(omega_and_spf, x, y):
     omega, spf = (a[: x + 1] for a in omega_and_spf)
     n = np.arange(x + 1)
     rough = (n == 1) | ((n > 1) & (spf > y))
     want = np.bincount(omega[rough], minlength=64)
-    got = rough_omega_histogram(x, y, segment_length=seg, workers=workers)
+    got = rough_omega_histogram(x, y)
     assert got.tobytes() == want.tobytes()
 
 

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 from sigmalab import (CensusFilter, OutOfRangeError, ResourceBudgetError, build_modulus, census,
                       psi_smooth_count, rough_count, rough_omega_histogram)
 from sigmalab import _sublinear
-from sigmalab._scan import plan
+from sigmalab._scan import MAX_SCAN_X, plan
 from sigmalab.census import _class_totals, _sieve_totals
 from sigmalab.factor import DEFAULT_MEMORY_BUDGET
 
@@ -183,13 +183,12 @@ def test_cuts_at_and_beyond_x(brute, x):
         check_counts(brute, x, max(c, 2), max(c, 2))
 
 
-@pytest.mark.parametrize("kwargs", [{"segment_length": 0}, {"segment_length": -3},
-                                    {"workers": 0}, {"workers": -2}])
-def test_rough_and_smooth_counts_refuse_bad_plans(kwargs):
-    """Checked by _scan.plan, though the engine uses neither."""
+@pytest.mark.parametrize("x", [0, MAX_SCAN_X + 1])
+def test_rough_and_smooth_counts_refuse_bad_plans(x):
+    """x outside 1..MAX_SCAN_X is refused by _scan.plan before any table."""
     for call in (rough_omega_histogram, rough_count, psi_smooth_count):
         with pytest.raises(OutOfRangeError):
-            call(10**5, 7, **kwargs)
+            call(x, 7)
 
 
 def test_rough_histogram_tables_within_budget():
