@@ -1,8 +1,9 @@
 """Deterministic segment-parallel scans over integer ranges: plan, the one
-validated setup that every scan runs and that supplies its primes ≤ √x,
-and scan_segment, the one segment kernel of the scans that sieve [1, x]:
-the censuses _sublinear does not take, the σ stream and the witnesses.
-The rough and smooth counts run plan and then _sublinear, not the kernel.
+input check every scan runs before it builds its primes ≤ √x, and
+scan_segment, the one segment kernel of the scans that sieve [1, x] in
+DEFAULT_SEGMENT_LENGTH segments: the censuses _sublinear does not take,
+the σ stream and the witnesses.  The rough and smooth counts run plan
+and then _sublinear, not the kernel.
 
 Range and dtypes: on a segment lo ≤ n < hi the kernel holds n, the
 found part of n (a divisor of n) and the cofactor in int32 when
@@ -50,6 +51,7 @@ MAX_SCAN_Q = math.isqrt(_INT64_MAX)
 _FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 
+# The segment length of every sieve scan.
 DEFAULT_SEGMENT_LENGTH = 1 << 20
 # The prefix of n that _fill_range writes with np.arange before doubling it.
 _FILL_BLOCK = 1 << 12
@@ -77,27 +79,26 @@ def primes_up_to(limit: int) -> np.ndarray:
     return np.flatnonzero(composite).astype(np.int64, copy=False)
 
 
-def plan(x: int, q: int = 1, segment_length: Optional[int] = None,
-         workers: int = 1) -> tuple[np.ndarray, int]:
-    """Validate a scan of 1 ≤ n ≤ x (σ mod q, if any) and set it up.
+def prime_table_bytes(limit: int) -> int:
+    """Peak bytes of primes_up_to(limit): limit + 1 sieve bytes and 8 per
+    prime, as π(limit) < 1.26·limit/ln limit; 0 below 2."""
+    return limit + 1 + 8 * math.ceil(1.26 * limit / math.log(limit)) if limit > 1 else 0
 
-    Refuses x < 1, q < 1 and segment_length < 1, then the ranges that
-    check_scan_range refuses, then workers < 1, all with OutOfRangeError
-    and before any table is built.  Returns the primes ≤ √x and the
-    segment length (DEFAULT_SEGMENT_LENGTH for None).
+
+def plan(x: int, q: int = 1, workers: int = 1) -> None:
+    """Validate a scan of 1 ≤ n ≤ x (σ mod q, if any).
+
+    Refuses x < 1 and q < 1, then the ranges that check_scan_range
+    refuses, then workers < 1, all with OutOfRangeError; it builds
+    nothing, so a scan prices its tables and its primes ≤ √x after it.
     """
     if x < 1:
         raise OutOfRangeError(f"x must be >= 1, got {x}")
     if q < 1:
         raise OutOfRangeError(f"modulus must be >= 1, got {q}")
-    if segment_length is None:
-        segment_length = DEFAULT_SEGMENT_LENGTH
-    elif segment_length < 1:
-        raise OutOfRangeError(f"segment_length must be >= 1, got {segment_length}")
     check_scan_range(x, q)
     if workers < 1:
         raise OutOfRangeError(f"workers must be at least 1, got {workers}")
-    return primes_up_to(math.isqrt(x)), segment_length
 
 
 class Segment(NamedTuple):
@@ -253,8 +254,6 @@ def scan_segment(
 
 def segment_bounds(start: int, stop: int, segment_length: int) -> list[tuple[int, int]]:
     """Half-open [lo, hi) chunks covering [start, stop)."""
-    if segment_length < 1:
-        raise ValueError("segment_length must be positive")
     return [(lo, min(lo + segment_length, stop)) for lo in range(start, stop, segment_length)]
 
 

@@ -22,6 +22,7 @@ import math
 
 import numpy as np
 
+from ._scan import primes_up_to
 from .characters import shared_modulus
 from .errors import ResourceBudgetError
 
@@ -137,12 +138,12 @@ def class_totals(x: int, m, primes: np.ndarray, grades: int = 1, threshold: int 
     return totals
 
 
-def omega_tails(x: int, primes: np.ndarray, lo: int, hi: int, grades: int,
-                budget: int) -> np.ndarray:
+def omega_tails(x: int, lo: int, hi: int, grades: int, budget: int) -> np.ndarray:
     """#{n ≤ x : every prime factor of n in (lo, hi], Ω(n) ≥ h} for h < grades:
     class_totals at q = 1, graded above lo, once its tables fit budget bytes."""
     need = table_bytes(x, 1, grades)
     if need > budget:
         raise ResourceBudgetError(f"prime-window tables for x = {x} need {need} bytes, "
                                   f"budget is {budget} bytes")
+    primes = primes_up_to(math.isqrt(x))
     return class_totals(x, shared_modulus(1), primes, grades, lo, lo=lo, hi=hi)[:, 0]

@@ -24,14 +24,14 @@ equidistribution exponent, a discrepancy statistic, and the main-term
 shapes x/(log x)^{1−α} and √x/(log x)^{1−α̃} for coprime-σ counts.
 
 All counting is exact 64-bit integer arithmetic, for x ≤ 2⁶³ − 2 and
-q ≤ 3.04·10⁹.  Every census is set up by _scan.plan, which refuses
-larger inputs, x < 1, q < 1 and a segment length below 1 with
-OutOfRangeError before any table is built and supplies the primes ≤ √x
-both engines walk; a worker count below 1 is refused next.  The sieve
-adds each segment's classes into one int64 total under a lock, as a
-bincount when the segment admits at least q integers, else with
-np.add.at: exact in any order, so identical for any worker count and
-segment length, in about 8·q bytes plus O(workers·segment).  The
+q ≤ 3.04·10⁹.  Every census is checked by _scan.plan, which refuses
+larger inputs, x < 1, q < 1 and a worker count below 1 with
+OutOfRangeError; then the engine's tables and the primes ≤ √x are
+priced against the budget before any is built.  The sieve runs
+DEFAULT_SEGMENT_LENGTH segments and adds each one's classes into one
+int64 total under a lock, as a bincount when the segment admits at
+least q integers, else with np.add.at: exact in any order, so the same
+for any worker count, in about 8·q bytes plus O(workers·segment).  The
 sublinear engine holds about three 2√x × φ(q)·(k + 1) int64 tables.
 The unit classes are then compacted into the front of the total in
 place, and the report's counts are a read-only mapping over it.
@@ -50,8 +50,9 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import _sublinear
-from ._scan import (check_scan_range, map_segments, plan, primes_up_to, release_scratch,
-                    scan_segment, segment_bounds)
+from ._scan import (DEFAULT_SEGMENT_LENGTH, check_scan_range, map_segments, plan,
+                    prime_table_bytes, primes_up_to, release_scratch, scan_segment,
+                    segment_bounds)
 from .characters import DirichletCharacter, Modulus
 from .charsums import PolynomialSpec
 from .errors import (DegenerateCensusError, OutOfRangeError, ResourceBudgetError,
@@ -250,7 +251,6 @@ def iter_sigma_segments(
     x: int,
     q: int,
     *,
-    segment_length: Optional[int] = None,
     threshold: Optional[int] = None,
 ) -> Iterator[tuple[int, int, np.ndarray, Optional[np.ndarray]]]:
     """Stream (lo, hi, σ mod q, large-factor counts) over [1, x].
@@ -263,9 +263,10 @@ def iter_sigma_segments(
     instead of exposing it.
     """
     x = int(x)
-    primes, seg_len = plan(x, q, segment_length)
+    plan(x, q)
+    primes = primes_up_to(math.isqrt(x))
     try:
-        for lo, hi in segment_bounds(1, x + 1, seg_len):
+        for lo, hi in segment_bounds(1, x + 1, DEFAULT_SEGMENT_LENGTH):
             seg = scan_segment(lo, hi, primes, q=q, above=threshold)
             cnt = None if threshold is None else seg.large.astype(np.int64)
             yield lo, hi, seg.sigma.copy(), cnt
@@ -286,7 +287,6 @@ def _class_totals(
     x: int,
     m: Modulus,
     f: CensusFilter,
-    segment_length: Optional[int],
     workers: int,
     budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> np.ndarray:
@@ -295,27 +295,29 @@ def _class_totals(
     sublinear engine (about three 2√x × φ(q)·(k + 1) int64 tables, no segments
     or workers) when x ≥ 2¹⁷, φ(q)·(1 + (k + 1)·α(q)) is small against
     x^(1/4)·ln x and the tables fit budget bytes, else the sieve: about
-    8·q·(workers + 1) bytes plus 52 per integer of each worker's segment,
-    and ResourceBudgetError when that does not fit either."""
-    primes, seg_len = plan(x, m.q, segment_length, workers=workers)
+    8·q·(workers + 1) bytes plus 52 per integer of each worker's segment and
+    the primes ≤ √x, else ResourceBudgetError; the primes are built after."""
+    plan(x, m.q, workers)
     grades, t = (f.k + 1, f.threshold) if f.kind == "pk-threshold" else (1, 0)
+    root = math.isqrt(x)
     if _sublinear.preferred(x, m, grades, t, budget):
+        primes = primes_up_to(root)
         return _sublinear.class_totals(x, m, primes, grades, t, f.kind == "coprime-only")[-1]
-    need = 8 * m.q * (workers + 1) + 52 * workers * min(seg_len, x)
+    need = (8 * m.q * (workers + 1) + 52 * workers * min(DEFAULT_SEGMENT_LENGTH, x)
+            + prime_table_bytes(root))
     if need > budget:
         raise ResourceBudgetError(f"census sieve needs about {need} bytes, "
                                   f"budget is {budget} bytes")
-    return _sieve_totals(x, m, f, primes, seg_len, workers)
+    return _sieve_totals(x, m, f, primes_up_to(root), workers)
 
 
 def _sieve_totals(x: int, m: Modulus, f: CensusFilter, primes: np.ndarray,
-                  seg_len: int, workers: int) -> np.ndarray:
-    """_class_totals by the segment kernel over [1, x], on the plan's primes.
+                  workers: int) -> np.ndarray:
+    """_class_totals by the segment kernel over [1, x], walking the primes ≤ √x.
     Every segment folds into the one total under a lock: one per integer
     in place (np.add.at) when it admits fewer integers than q, else as a
     q-length bincount, so at most `workers` such parts are alive at once.
-    The sum is exact in any order, hence the same for any segment length
-    and workers."""
+    The sum is exact in any order, hence the same for any workers."""
     q = m.q
     threshold = f.threshold if f.kind == "pk-threshold" else None
 
@@ -337,7 +339,7 @@ def _sieve_totals(x: int, m: Modulus, f: CensusFilter, primes: np.ndarray,
         with fold:
             np.add(totals, part, out=totals)
 
-    map_segments(1, x + 1, seg_len, one_segment, workers)
+    map_segments(1, x + 1, DEFAULT_SEGMENT_LENGTH, one_segment, workers)
     for ell, _ in m.factorization:
         totals[::ell] = 0
     return totals
@@ -359,7 +361,6 @@ def census(
     m: Modulus,
     f: Optional[CensusFilter] = None,
     *,
-    segment_length: Optional[int] = None,
     workers: int = 1,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> CensusReport:
@@ -372,7 +373,7 @@ def census(
     else the segment sieve, in about 8·q bytes plus O(workers·segment).
     Each engine's arrays are checked against memory_budget bytes first;
     ResourceBudgetError when neither fits.  Both are exact, so the counts
-    are the same for any engine, worker count and segment length.  The unit classes are then moved to the
+    are the same for any engine and worker count.  The unit classes are then moved to the
     front of the total in place, and the report's counts read it there.
     """
     x = int(x)
@@ -380,7 +381,7 @@ def census(
         f = CensusFilter.all_integers()
     q = m.q
     units = m.units
-    totals = _class_totals(x, m, f, segment_length, workers, memory_budget)
+    totals = _class_totals(x, m, f, workers, memory_budget)
     # units[i] >= i, so each chunk reads only slots no earlier chunk wrote.
     for start in range(0, m.phi, _CHUNK):
         stop = min(start + _CHUNK, m.phi)
@@ -409,7 +410,6 @@ def twisted_partial_sum(
     chi: DirichletCharacter,
     f: Optional[CensusFilter] = None,
     *,
-    segment_length: Optional[int] = None,
     workers: int = 1,
     memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> complex:
@@ -420,14 +420,14 @@ def twisted_partial_sum(
     coprime total of the census; for nonprincipal characters
     orthogonality makes it the error term of equidistribution.  Taken as
     the character transform of the census's exact class totals, so it
-    does not depend on the engine, segment_length or workers; those
+    does not depend on the engine or workers; those
     totals are checked against memory_budget bytes as in census.
     """
     x = int(x)
     if f is None:
         f = CensusFilter.all_integers()
     m = chi.modulus
-    totals = _class_totals(x, m, f, segment_length, workers, memory_budget)
+    totals = _class_totals(x, m, f, workers, memory_budget)
     return complex(m.character_transform(totals)[chi.index])
 
 
@@ -455,8 +455,8 @@ def prime_reciprocal_sum(
     if x < 2:
         raise OutOfRangeError(f"x must be >= 2, got {x}")
     check_scan_range(x)
-    n_primes = math.ceil(1.26 * x / math.log(x))
-    need = x + 1 + 8 * n_primes + 5 * 8 * min(_PRIME_CHUNK, n_primes)
+    table = prime_table_bytes(x)  # x + 1 sieve bytes, then 8 per prime
+    need = table + 5 * min(8 * _PRIME_CHUNK, table - x - 1)
     if need > memory_budget:
         raise ResourceBudgetError(
             f"prime table for x = {x} needs about {need} bytes, "
@@ -486,7 +486,7 @@ def discrepancy(report: CensusReport) -> float:
     return _max_rel_deviation(report.counts.value_array, report.total_coprime)
 
 
-def rough_count_estimate(x: int, m: Modulus, which: Optional[str] = None) -> float:
+def rough_count_estimate(x: int, m: Modulus) -> float:
     """Main-term shape for #{n ≤ x : gcd(σ(n), q) = 1}.
 
     Odd q: x/(log x)^{1−α(q)}.  Even q (with 3 ∤ q): the coprime set
@@ -501,15 +501,8 @@ def rough_count_estimate(x: int, m: Modulus, which: Optional[str] = None) -> flo
     if x < 2:
         raise OutOfRangeError(f"x must be >= 2, got {x}")
     q = m.q
-    inferred = "odd" if q % 2 else "even"
-    if which is None:
-        which = inferred
-    if which not in ("odd", "even"):
-        raise ValueError(f"which must be 'odd' or 'even', got {which!r}")
-    if which != inferred:
-        raise ValueError(f"q = {q} is {inferred}, not {which}")
     logx = math.log(x)
-    if which == "odd":
+    if q % 2:
         exponent = 1.0 - float(m.alpha)
         return x / logx**exponent
     if q % 3 == 0:

@@ -5,8 +5,9 @@ operation: parse flags, run, emit one payload as JSON (default) or CSV.
 A CSV header lists payload fields, with re_/im_/abs_ parts of complex
 values; census writes one row per class.  There is no randomness
 anywhere, so identical flags and tool version produce byte-identical
-output; the worker count (at least 1) only changes wall time, never
-bytes.  Numeric flags accept scientific notation (--x 1e7).
+output.  --workers (at least 1), on the commands that may run the
+segment sieve, changes wall time only, never bytes.  Numeric flags
+accept scientific notation (--x 1e7).
 
 Exit codes: 0 success, 1 a verification-style subcommand found a
 violation (weil-check, verify-s-set, witness mismatch), 2 bad usage or
@@ -270,8 +271,6 @@ def _add_common(parser: argparse.ArgumentParser, parallel: bool = False) -> None
     if parallel:
         parser.add_argument("--workers", type=_parse_int, default=1,
                             help="parallel segment workers (same output for any value)")
-        parser.add_argument("--segment-length", type=_parse_int, default=None,
-                            help="sieve segment length")
 
 
 def _budget(args: argparse.Namespace) -> int:
@@ -323,8 +322,7 @@ def _census_filter(args: argparse.Namespace) -> CensusFilter:
 def _cmd_census(args: argparse.Namespace) -> int:
     m = _modulus(args)
     f = _census_filter(args)
-    report = census(args.x, m, f, segment_length=args.segment_length,
-                    workers=args.workers, memory_budget=_budget(args))
+    report = census(args.x, m, f, workers=args.workers, memory_budget=_budget(args))
     total = report.total_coprime
     phi = len(report.counts)
     payload = {
@@ -356,8 +354,8 @@ def _cmd_twisted_sum(args: argparse.Namespace) -> int:
     m = _modulus(args)
     chi = m.character(args.index)
     f = _census_filter(args)
-    value = twisted_partial_sum(args.x, chi, f, segment_length=args.segment_length,
-                                workers=args.workers, memory_budget=_budget(args))
+    value = twisted_partial_sum(args.x, chi, f, workers=args.workers,
+                                memory_budget=_budget(args))
     payload = {
         "x": args.x,
         "q": m.q,
@@ -491,8 +489,7 @@ _WITNESSES = {
 
 def _cmd_witness(args: argparse.Namespace) -> int:
     construct, description = _WITNESSES[args.command]
-    report = construct(args.y, args.x, segment_length=args.segment_length,
-                       workers=args.workers)
+    report = construct(args.y, args.x, workers=args.workers, memory_budget=_budget(args))
     agree = report.crt_count == report.direct_count
     payload = {**vars(report), "routes_agree": agree}
     payload["Y"] = payload.pop("y_cut")

@@ -225,8 +225,8 @@ def _window_count(x: int, lo: int, hi: int, sieve: FactorSieve | None) -> int:
     at q = 1, after _scan.plan's checks; x must not exceed a given sieve's limit."""
     if sieve is not None and x > sieve.limit:
         raise OutOfRangeError(f"x = {x} exceeds sieve limit {sieve.limit}")
-    primes, _ = plan(x)
-    return int(_sublinear.omega_tails(x, primes, lo, hi, 1, DEFAULT_MEMORY_BUDGET)[0])
+    plan(x)
+    return int(_sublinear.omega_tails(x, lo, hi, 1, DEFAULT_MEMORY_BUDGET)[0])
 
 
 def psi_smooth_count(x: int, z: float, sieve: FactorSieve | None = None) -> int:

@@ -151,9 +151,9 @@ def rough_omega_histogram(
     y = float(y)
     if y < 2:
         raise OutOfRangeError(f"roughness cut must satisfy y >= 2, got {y}")
-    primes, _ = plan(x)
+    plan(x)
     grades = min(math.floor(math.log(x) / math.log(y)) + 2, _OMEGA_WIDTH)
-    tails = _sublinear.omega_tails(x, primes, math.floor(min(y, x)), x, grades, memory_budget)
+    tails = _sublinear.omega_tails(x, math.floor(min(y, x)), x, grades, memory_budget)
     hist = np.zeros(_OMEGA_WIDTH, dtype=np.int64)
     hist[:grades] = tails - np.append(tails[1:], 0)
     return hist

@@ -35,7 +35,7 @@ from ._scan import plan, primes_up_to
 from .characters import Modulus, _crt_pair, _require_prime, build_modulus
 from .census import CensusFilter, census
 from .errors import OutOfRangeError, ResourceBudgetError
-from .factor import Factorization, sigma_mod
+from .factor import DEFAULT_MEMORY_BUDGET, Factorization, sigma_mod
 
 __all__ = [
     "SolutionCount",
@@ -259,11 +259,21 @@ class OverrepWitnessReport:
     census_note: str
 
 
-def _witness_primes(y: int) -> list[int]:
-    ells = [int(p) for p in primes_up_to(int(y)) if p >= 5]
+def _witness_modulus(y: int, x: int, power: int) -> tuple[list[int], int]:
+    """The primes 5 ≤ ℓ ≤ y and q = 2·∏ ℓ^power of a witness scan of n ≤ x,
+    after the checks of x; q must fit 64 bits."""
+    if x < 4:
+        raise OutOfRangeError(f"x must be >= 4, got {x}")
+    plan(x)
+    ells = [int(p) for p in primes_up_to(y) if p >= 5]
     if not ells:
         raise OutOfRangeError(f"witness cut y = {y} admits no primes in [5, y]")
-    return ells
+    q = 2
+    for ell in ells:
+        q *= ell**power
+        if q >= 1 << 63:
+            raise ResourceBudgetError(f"witness modulus for y = {y} exceeds 64 bits")
+    return ells, q
 
 
 # Per witness kind: the k of its P_k(n) > q census, k in words, the class's name.
@@ -272,13 +282,13 @@ _WITNESS_CENSUS = {"even": (4, "four", "the witness class"),
 
 
 def _witness_report(kind: str, q: int, y: int, x: int, klass: int, crt_count: int,
-                    direct_count: int, num_prime_classes: Optional[int],
-                    segment_length: Optional[int], workers: int) -> OverrepWitnessReport:
+                    direct_count: int, num_prime_classes: Optional[int], workers: int,
+                    memory_budget: int) -> OverrepWitnessReport:
     """The report of one witness construction: its counts, and the
     witness class against the mean of the census under P_k(n) > q."""
     k, k_words, class_name = _WITNESS_CENSUS[kind]
     report = census(x, build_modulus(q), CensusFilter.pk_threshold(k, q),
-                    segment_length=segment_length, workers=workers)
+                    workers=workers, memory_budget=memory_budget)
     class_count = report.counts.get(klass, 0)
     total = report.total_coprime
     phi = len(report.counts)
@@ -315,8 +325,8 @@ def overrep_witness_even(
     y: int,
     x: int,
     *,
-    segment_length: Optional[int] = None,
     workers: int = 1,
+    memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> OverrepWitnessReport:
     """Witnesses n = (P₁P₂)² landing in one class mod q = 2(∏ℓ)².
 
@@ -325,21 +335,12 @@ def overrep_witness_even(
     with x^{1/10} < P₂ ≤ x^{1/6} < P₁ whose pair of residues solves
     (v₁²+v₁+1)(v₂²+v₂+1) ≡ w_q.  Prime pairs are counted both by the
     local class conditions and by evaluating σ(P₁²P₂²) mod q; the
-    census under the P₄(n) > q filter supplies the comparison mean.
+    census under the P₄(n) > q filter, run as census runs it with
+    workers and memory_budget, supplies the comparison mean.
     """
     x = int(x)
     y = int(y)
-    if x < 4:
-        raise OutOfRangeError(f"x must be >= 4, got {x}")
-    primes, _ = plan(x, segment_length=segment_length)
-    ells = _witness_primes(y)
-    q = 2
-    for ell in ells:
-        q *= ell * ell
-        if q >= 1 << 63:
-            raise ResourceBudgetError(
-                f"witness modulus for y = {y} exceeds 64 bits"
-            )
+    ells, q = _witness_modulus(y, x, 2)
     targets = {ell: 9 * pow(16, -1, ell * ell) % (ell * ell) for ell in ells}
     w_q = 1  # the mod-2 component
     mod_so_far = 2
@@ -349,7 +350,7 @@ def overrep_witness_even(
 
     # Prime windows by exact integer power comparisons.
     root = math.isqrt(x)
-    all_primes = primes.tolist()
+    all_primes = primes_up_to(root).tolist()
     p2_list = [p for p in all_primes if p**10 > x and p**6 <= x]
     crt_count = 0
     direct_count = 0
@@ -377,15 +378,15 @@ def overrep_witness_even(
                 direct_count += 1
 
     return _witness_report("even", q, y, x, w_q % q, crt_count, direct_count, None,
-                           segment_length, workers)
+                           workers, memory_budget)
 
 
 def overrep_witness_sqfree(
     y: int,
     x: int,
     *,
-    segment_length: Optional[int] = None,
     workers: int = 1,
+    memory_budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> OverrepWitnessReport:
     """Witnesses n = P² landing in class 3 mod q = 2·∏ ℓ.
 
@@ -394,24 +395,17 @@ def overrep_witness_sqfree(
     σ(P²) = P²+P+1 ≡ 3 (mod q): the 2^{ω(q)−1} residue classes of
     such P all funnel into the single class 3.  Primes in
     (x^{1/4}, x^{1/2}] are counted by class membership and by direct
-    σ evaluation, and the class-3 count of the P₂(n) > q census
-    gives the over-representation ratio.
+    σ evaluation, and the class-3 count of the P₂(n) > q census, run
+    as census runs it with workers and memory_budget, gives the
+    over-representation ratio.
     """
     x = int(x)
     y = int(y)
-    if x < 4:
-        raise OutOfRangeError(f"x must be >= 4, got {x}")
-    primes, _ = plan(x, segment_length=segment_length)
-    ells = _witness_primes(y)
-    q = 2
-    for ell in ells:
-        q *= ell
-        if q >= 1 << 63:
-            raise ResourceBudgetError(f"witness modulus for y = {y} exceeds 64 bits")
+    ells, q = _witness_modulus(y, x, 1)
 
     crt_count = 0
     direct_count = 0
-    for p in primes.tolist():
+    for p in primes_up_to(math.isqrt(x)).tolist():
         if p**4 <= x:
             continue
         in_class = p % 2 == 1 and all(p % ell in (1, ell - 2) for ell in ells)
@@ -421,4 +415,4 @@ def overrep_witness_sqfree(
             direct_count += 1
 
     return _witness_report("squarefree", q, y, x, 3 % q, crt_count, direct_count,
-                           2 ** len(ells), segment_length, workers)
+                           2 ** len(ells), workers, memory_budget)

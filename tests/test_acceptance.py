@@ -363,16 +363,17 @@ def test_criterion_15_worker_determinism(sieve_engine):
     checks = []
 
     r1 = census(10 ** 7, build_modulus(5), workers=1)
-    r8 = census(10 ** 7, build_modulus(5), segment_length=123_457, workers=8)
+    r8 = census(10 ** 7, build_modulus(5), workers=8)
     checks.append(("census q=5 x=1e7", r1.counts == r8.counts))
 
+    # Above 2^20, so these scans too run several segments on 8 workers.
     f = CensusFilter.pk_threshold(4, 5)
-    c1 = census(10 ** 6, build_modulus(15), f, workers=1)
-    c8 = census(10 ** 6, build_modulus(15), f, segment_length=9_973, workers=8)
+    c1 = census(3 * 10 ** 6, build_modulus(15), f, workers=1)
+    c8 = census(3 * 10 ** 6, build_modulus(15), f, workers=8)
     checks.append(("filtered census q=15", c1.counts == c8.counts))
 
-    w1 = overrep_witness_sqfree(5, 10 ** 6, workers=1)
-    w8 = overrep_witness_sqfree(5, 10 ** 6, workers=8)
+    w1 = overrep_witness_sqfree(5, 3 * 10 ** 6, workers=1)
+    w8 = overrep_witness_sqfree(5, 3 * 10 ** 6, workers=8)
     checks.append(("witness sqfree",
                    (w1.crt_count, w1.direct_count, w1.census_class_count,
                     w1.census_total) == (w8.crt_count, w8.direct_count,

@@ -29,7 +29,7 @@ from sigmalab import (
     PolynomialSpec,
 )
 from sigmalab import _sublinear
-from sigmalab._scan import plan, primes_up_to
+from sigmalab._scan import primes_up_to
 from sigmalab.census import (
     ClassCounts,
     _coprime_mask,
@@ -37,6 +37,8 @@ from sigmalab.census import (
     _sieve_totals,
 )
 from sigmalab.factor import DEFAULT_SEGMENT_LENGTH
+
+L = DEFAULT_SEGMENT_LENGTH  # the segment length of every sieve scan
 
 
 def divisor_sigma_table(limit: int) -> np.ndarray:
@@ -58,17 +60,17 @@ def brute_census(x: int, q: int, keep) -> dict[int, int]:
     return counts
 
 
-def sieve_totals(x, m, f=None, segment_length=None, workers=1):
-    """The segment sieve's class totals, on the plan the census makes."""
+def sieve_totals(x, m, f=None, workers=1):
+    """The segment sieve's class totals, on the primes the census builds."""
     f = f or CensusFilter.all_integers()
-    return _sieve_totals(x, m, f, *plan(x, m.q, segment_length), workers)
+    return _sieve_totals(x, m, f, primes_up_to(math.isqrt(x)), workers)
 
 
 def sublinear_totals(x, m, f=None):
     """The sublinear engine's class totals, whatever the dispatch rule says."""
     f = f or CensusFilter.all_integers()
     grades, t = (f.k + 1, f.threshold) if f.kind == "pk-threshold" else (1, 0)
-    return _sublinear.class_totals(x, m, plan(x, m.q)[0], grades, t,
+    return _sublinear.class_totals(x, m, primes_up_to(math.isqrt(x)), grades, t,
                                    f.kind == "coprime-only")[-1]
 
 
@@ -105,11 +107,14 @@ def test_census_q_one(sieve_small):
 
 
 def test_census_workers_and_segments_identical(sieve_engine):
-    m = build_modulus(15)
-    base = census(200_000, m)
-    for workers, seg in ((4, 1_000), (8, 333), (1, 77_777)):
-        again = census(200_000, m, segment_length=seg, workers=workers)
-        assert again.counts == base.counts
+    """Four segments, the last a short one: the same counts at 1, 2 and 8
+    workers, and the same as the sublinear engine's."""
+    x, m = 3 * L + 12_345, build_modulus(15)
+    base = census(x, m)
+    for workers in (2, 8):
+        assert census(x, m, workers=workers).counts == base.counts, workers
+    want = sublinear_totals(x, m)[m.units]
+    assert base.counts.value_array.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("workers", [0, -2])
@@ -119,23 +124,31 @@ def test_census_refuses_workers_below_one(workers):
         census(100, build_modulus(5), workers=workers)
 
 
-@pytest.mark.parametrize("x, q, segment_length, workers, bound", [
-    pytest.param(200_000, 1_000_003, 4096, 2, (2 + 2) * 8 * 1_000_003, id="sparse"),
-    pytest.param(40 * 8192, 8191, 8192, 1, (1 + 6 * 1) * 8 * 8192, id="dense-1"),
-    pytest.param(40 * 8192, 8191, 8192, 2, (1 + 6 * 2) * 8 * 8192, id="dense-2"),
+# The kernel arrays of one thread over a segment below 2^31: sigma and the
+# factor buffer in int64, n's cofactor, found part and spare in int32, the
+# leftover mask, 29 bytes per integer, and some slack.
+KERNEL_BYTES = 32 * L
+
+
+@pytest.mark.parametrize("x, q, workers, bound", [
+    pytest.param(3 * L, 2_000_003, 2, 8 * 2_000_003 + 2 * KERNEL_BYTES, id="sparse"),
+    pytest.param(4 * L, L - 3, 1, 8 * (L - 3) + 1 * (KERNEL_BYTES + 8 * (L - 3)),
+                 id="dense-1"),
+    pytest.param(4 * L, L - 3, 2, 8 * (L - 3) + 2 * (KERNEL_BYTES + 8 * (L - 3)),
+                 id="dense-2"),
 ])
-def test_class_totals_memory_bounded_by_workers(x, q, segment_length, workers, bound):
+def test_class_totals_memory_bounded_by_workers(x, q, workers, bound):
     """Segments fold into one total, so the peak grows with the worker
-    count and not with the number of segments (49 sparse, 40 dense).
-    Sparse: q exceeds the segment length and every segment folds in
-    place.  Dense: each worker holds its segment's arrays and one q-length
-    bincount at a time, about 6·8·L bytes for L = 8192; a fold that kept
-    every segment's part would need more than 40·8·L."""
+    count and not with the number of segments (3 sparse, 4 dense): the
+    total, plus each worker's kernel arrays.  Sparse: q exceeds the segment
+    length and every segment folds in place, with no q-length part.
+    Dense: each worker also holds one q-length bincount at a time; a fold
+    that kept every segment's part would need 4·8·q on top."""
     m = build_modulus(q)
     m.unit_mask  # build the lazy table before tracing
     tracemalloc.start()
     try:
-        totals = sieve_totals(x, m, segment_length=segment_length, workers=workers)
+        totals = sieve_totals(x, m, workers=workers)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -153,7 +166,7 @@ def test_census_releases_kernel_arrays(workers, sieve_engine):
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        census(200_000, m, segment_length=8192, workers=workers)
+        census(2 * L + 1_000, m, workers=workers)
         after, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -162,24 +175,24 @@ def test_census_releases_kernel_arrays(workers, sieve_engine):
 
 def test_class_totals_sparse_fold_memory():
     """When q exceeds the segment length every segment folds in place:
-    no q-length part is built at all, only the total itself."""
-    q = 1_000_003
+    besides the total, no q-length part is built at all, only the two
+    workers' kernel arrays (a part would add 8·q > 30·L per worker)."""
+    q = 4_000_037
     m = build_modulus(q)
     m.unit_mask  # build the lazy table before tracing
     tracemalloc.start()
     try:
-        sieve_totals(200_000, m, segment_length=4096, workers=2)
+        sieve_totals(2 * L + 1_000, m, workers=2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * 8 * q
+    assert peak < 8 * q + 2 * KERNEL_BYTES
 
 
-def _sequential_totals(x: int, m, seg: int) -> np.ndarray:
+def _sequential_totals(x: int, m) -> np.ndarray:
     """One bincount of every sigma(n) mod q, n <= x, from the sequential
     segment stream, zero at non-units."""
-    sig = np.concatenate([vals for _, _, vals, _
-                          in iter_sigma_segments(x, m.q, segment_length=seg)])
+    sig = np.concatenate([vals for _, _, vals, _ in iter_sigma_segments(x, m.q)])
     want = np.bincount(sig, minlength=m.q)
     want[~m.unit_mask] = 0
     return want
@@ -189,15 +202,13 @@ def test_sparse_and_dense_fold_agree():
     """q one below, at and one above the segment length: full segments
     take the bincount path for q <= length and the in-place path above,
     and the last, shorter segment may take the other one."""
-    for seg in (None, 997, 9973):
-        length = seg or DEFAULT_SEGMENT_LENGTH
-        x = length + 5_000 if seg is None else 30_000
-        for q in (length - 1, length, length + 1):
-            m = build_modulus(q)
-            want = _sequential_totals(x, m, length)
-            for workers in (1, 2, 8):
-                got = sieve_totals(x, m, segment_length=seg, workers=workers)
-                assert np.array_equal(got, want), (seg, q, workers)
+    x = L + 5_000
+    for q in (L - 1, L, L + 1):
+        m = build_modulus(q)
+        want = _sequential_totals(x, m)
+        for workers in (1, 2, 8):
+            got = sieve_totals(x, m, workers=workers)
+            assert np.array_equal(got, want), (q, workers)
 
 
 @settings(max_examples=60, deadline=None)
@@ -252,18 +263,34 @@ def test_max_rel_deviation_matches_full_array(counts, total):
     assert _max_rel_deviation(arr, total) == want
 
 
-def test_iter_sigma_segments_concatenates(sieve_small):
-    x, q = 10_000, 7
-    sig = divisor_sigma_table(x)
+def sigma_by_trial_division(n: int) -> int:
+    total, d = 0, 1
+    while d * d <= n:
+        if n % d == 0:
+            total += d + (n // d if d * d < n else 0)
+        d += 1
+    return total
+
+
+def test_iter_sigma_segments_concatenates():
+    """Three segments, the last a short one, cover 1..x in order: checked
+    against the divisor sieve below 10^4, by trial division on both sides
+    of each segment boundary, and in total against the sublinear engine."""
+    x, q = 2 * L + 1_234, 7
     pieces = []
     last_hi = 1
-    for lo, hi, vals, cnt in iter_sigma_segments(x, q, segment_length=997):
+    for lo, hi, vals, cnt in iter_sigma_segments(x, q):
         assert lo == last_hi and len(vals) == hi - lo and cnt is None
         last_hi = hi
         pieces.append(vals)
     flat = np.concatenate(pieces)
-    assert last_hi == x + 1 and len(flat) == x
-    assert np.array_equal(flat, sig[1:] % q)
+    assert len(pieces) == 3 and last_hi == x + 1 and len(flat) == x
+    assert np.array_equal(flat[:10_000], divisor_sigma_table(10_000)[1:] % q)
+    for n in [*range(L - 50, L + 50), *range(2 * L - 50, 2 * L + 50), x]:
+        assert flat[n - 1] == sigma_by_trial_division(n) % q, n
+    m = build_modulus(q)
+    want = sublinear_totals(x, m)
+    assert np.array_equal(np.where(m.unit_mask, np.bincount(flat, minlength=q), 0), want)
 
 
 def test_iter_sigma_segments_counts_large_factors(sieve_small):
@@ -292,18 +319,18 @@ def test_orthogonality_reconstruction():
 
 
 def test_twisted_sum_independent_of_segments_and_workers(sieve_engine):
-    """Bit-identical for every segment length and worker count."""
-    x = 200_000
+    """Three segments: bit-identical for 1, 2 and 8 workers, and to the
+    transform of the sublinear engine's totals."""
+    x = 2 * L + 12_345
     for q in (7, 15):
         m = build_modulus(q)
         chi = m.character(m.phi - 1)  # nonprincipal on every prime of q
         for f in (None, CensusFilter.pk_threshold(2, 100)):
             base = twisted_partial_sum(x, chi, f)
-            for seg in (None, 997, 9973):
-                for workers in (1, 2, 8):
-                    got = twisted_partial_sum(x, chi, f, segment_length=seg,
-                                              workers=workers)
-                    assert got == base, (q, f, seg, workers)
+            assert base == complex(m.character_transform(sublinear_totals(x, m, f))[chi.index])
+            for workers in (2, 8):
+                got = twisted_partial_sum(x, chi, f, workers=workers)
+                assert got == base, (q, f, workers)
 
 
 def test_twisted_principal_equals_total():
@@ -443,7 +470,7 @@ def test_rough_count_estimate_shapes():
     assert got == pytest.approx(x / math.log(x) ** 0.25, rel=1e-12)
     got = rough_count_estimate(x, build_modulus(10))
     assert got == pytest.approx(math.sqrt(x), rel=1e-12)  # alpha~(10) = 1
-    got = rough_count_estimate(x, build_modulus(14), which="even")
+    got = rough_count_estimate(x, build_modulus(14))
     assert got == pytest.approx(
         math.sqrt(x) / math.log(x) ** (1 - 4 / 6), rel=1e-12)
 
@@ -453,8 +480,6 @@ def test_rough_count_estimate_validation():
         rough_count_estimate(10**6, build_modulus(6))
     with pytest.raises(OutOfRangeError):
         rough_count_estimate(1, build_modulus(5))
-    with pytest.raises(ValueError):
-        rough_count_estimate(10**6, build_modulus(5), which="even")
 
 
 def test_proof_thresholds():

@@ -7,6 +7,7 @@ exactly the bytes a shell user would.
 import argparse
 import csv
 import dataclasses
+import inspect
 import io
 import json
 
@@ -161,13 +162,19 @@ def test_prime_recip_checks_budget_before_sieving(tmp_path, capsys):
 
 def test_budget_reaches_the_scans(tmp_path, capsys):
     """--memory-budget prices the rough engine's tables and both census
-    engines, under census and twisted-sum: too small a budget exits 3 with
-    one line, before any scan."""
+    engines, under census, twisted-sum and the witnesses: too small a budget
+    exits 3 with one line, before any scan and, at x = 1e16, before the
+    primes up to sqrt(x) are built."""
     for argv in (["lsd-scan", "--beta", "0.5", "--Y", "7", "--x-grid", "1e4,1e6",
                   "--memory-budget", "1e5"],
                  ["census", "--x", "1e9", "--q", "15", "--memory-budget", "2000"],
                  ["twisted-sum", "--x", "1e6", "--q", "15", "--index", "1",
-                  "--memory-budget", "2000"]):
+                  "--memory-budget", "2000"],
+                 ["witness-sqfree", "--Y", "7", "--x", "1e6", "--memory-budget", "2000"],
+                 ["witness-even", "--Y", "7", "--x", "1e6", "--memory-budget", "2000"],
+                 ["census", "--x", "1e16", "--q", "5", "--memory-budget", "1e6"],
+                 ["lsd-scan", "--beta", "0.5", "--Y", "7", "--x-grid", "1e16",
+                  "--memory-budget", "1e6"]):
         assert cli.main(argv + ["--output", str(tmp_path / "x.json")]) == 3
         err = capsys.readouterr().err
         assert err.startswith("sigmalab: resource budget exceeded:") and err.count("\n") == 1
@@ -178,7 +185,7 @@ def test_budget_reaches_the_scans(tmp_path, capsys):
 
 def test_help_everywhere(capsys):
     """Every subcommand documents --format; only the four that may run the
-    segment sieve take --workers and --segment-length."""
+    segment sieve take --workers, and none takes --segment-length."""
     sieve_scans = {"census", "twisted-sum", "witness-even", "witness-sqfree"}
     for sub in ("census", "twisted-sum", "rho-table", "eta-table",
                 "verify-s-set", "weil-check", "lsd-scan", "g-one", "v-count",
@@ -189,8 +196,29 @@ def test_help_everywhere(capsys):
         assert exc.value.code == 0
         text = capsys.readouterr().out
         assert "--format" in text
-        for flag in ("--workers", "--segment-length"):
-            assert (flag in text) == (sub in sieve_scans), (sub, flag)
+        assert ("--workers" in text) == (sub in sieve_scans), sub
+        assert "--segment-length" not in text, sub
+
+
+def test_no_public_callable_takes_a_segment_length():
+    """Every sieve scan runs segments of DEFAULT_SEGMENT_LENGTH: no public
+    function, class or method of the package takes a segment_length."""
+    checked = set()
+    for name in sigmalab.__all__:
+        obj = getattr(sigmalab, name)
+        members = vars(obj).items() if isinstance(obj, type) else ()
+        for label, fn in [(name, obj)] + [(f"{name}.{k}", v) for k, v in members]:
+            fn = getattr(fn, "__func__", fn)
+            if not callable(fn) or isinstance(fn, type) and fn is not obj:
+                continue
+            try:
+                params = inspect.signature(fn).parameters
+            except (TypeError, ValueError):
+                continue
+            checked.add(label)
+            assert "segment_length" not in params, label
+    assert {"census", "twisted_partial_sum", "iter_sigma_segments", "overrep_witness_even",
+            "overrep_witness_sqfree", "FactorSieve", "FactorSieve.__init__"} <= checked
 
 
 def test_prime_recip_coeffs(tmp_path):
@@ -329,10 +357,6 @@ def test_census_csv_bytes_pinned(tmp_path):
     ["twisted-sum", "--x", "1e20", "--q", "5", "--index", "1"],
     ["lsd-scan", "--beta", "0.5", "--Y", "7", "--x-grid", "1000,1e19"],
     ["witness-sqfree", "--Y", "7", "--x", "1e19"],
-    ["census", "--x", "1000", "--q", "5", "--segment-length", "-3"],
-    ["census", "--x", "1000", "--q", "5", "--segment-length", "0"],
-    ["twisted-sum", "--x", "1000", "--q", "7", "--index", "1", "--segment-length", "-3"],
-    ["witness-sqfree", "--Y", "7", "--x", "1e4", "--segment-length", "-3"],
     ["twisted-sum", "--x", "1000", "--q", "7", "--index", "99"],
     ["twisted-sum", "--x", "1000", "--q", "7", "--index", "-1"],
     ["prime-recip", "--x", "100", "--q", "5", "--coeffs", ""],
@@ -344,7 +368,7 @@ def test_census_csv_bytes_pinned(tmp_path):
 def test_exit_code_2_beyond_int64_range(capsys, argv):
     """Arguments out of range give one line and exit 2, never a traceback:
     x whose integers do not fit in int64 (refused before any prime table
-    is allocated), a segment length below 1, a character index outside
+    is allocated), a character index outside
     0..φ(q) − 1, a worker count below 1, an empty list and a constant
     polynomial."""
     assert cli.main(argv) == 2

@@ -28,7 +28,7 @@ GOLDEN = Path(__file__).parent / "golden"
 OUT = "{output}"
 
 CASES = {
-    # census: filters, both formats, dense and sparse folds, segments, workers
+    # census: filters, both formats, dense and sparse folds, workers
     "census_q5": ["census", "--x", "1e5", "--q", "5"],
     "census_q5_csv": ["census", "--x", "1e5", "--q", "5", "--format", "csv"],
     "census_q101_pk": ["census", "--x", "1e5", "--q", "101", "--filter", "pk-threshold",
@@ -38,34 +38,30 @@ CASES = {
                            "--format", "csv", "--output", OUT],
     "census_q1009_pk": ["census", "--x", "1e6", "--q", "1009", "--filter", "pk-threshold",
                         "--k", "2", "--threshold", "100", "--output", OUT],
-    "census_q1009_sparse": ["census", "--x", "2e5", "--q", "1009",
-                            "--segment-length", "512", "--workers", "2"],
+    "census_q1009_sparse": ["census", "--x", "2e5", "--q", "1009", "--workers", "2"],
     "census_q12_coprime": ["census", "--x", "1e5", "--q", "12", "--filter", "coprime-only"],
     "census_q10_coprime": ["census", "--x", "1e5", "--q", "10", "--filter", "coprime-only",
                            "--format", "csv"],
     "census_q2310_coprime": ["census", "--x", "1e5", "--q", "2310", "--filter",
-                             "coprime-only", "--segment-length", "997"],
+                             "coprime-only"],
     "census_q512_coprime_csv": ["census", "--x", "1e5", "--q", "512", "--filter",
                                 "coprime-only", "--format", "csv"],
-    "census_q999_seg": ["census", "--x", "1e5", "--q", "999", "--segment-length", "997",
-                        "--workers", "2"],
+    "census_q999_seg": ["census", "--x", "1e5", "--q", "999", "--workers", "2"],
     "census_empty": ["census", "--x", "50", "--q", "1000", "--filter", "pk-threshold",
                      "--k", "4", "--threshold", "1000"],
     "census_q1": ["census", "--x", "1e4", "--q", "1"],
     "census_q15_pk": ["census", "--x", "1e6", "--q", "15", "--filter", "pk-threshold",
                       "--k", "2", "--threshold", "1000"],
     "census_q70_pk_seg": ["census", "--x", "1e6", "--q", "70", "--filter", "pk-threshold",
-                          "--k", "3", "--threshold", "7", "--segment-length", "9973"],
-    "census_q2_seg": ["census", "--x", "1e6", "--q", "2", "--segment-length", "65536",
-                      "--format", "csv"],
+                          "--k", "3", "--threshold", "7"],
+    "census_q2_seg": ["census", "--x", "1e6", "--q", "2", "--format", "csv"],
     # twisted sums and character tables
     "twisted_sum": ["twisted-sum", "--x", "1e5", "--q", "7", "--index", "3"],
     "twisted_sum_pk_csv": ["twisted-sum", "--x", "1e5", "--q", "15", "--index", "5",
                            "--filter", "pk-threshold", "--k", "2", "--threshold", "10",
                            "--format", "csv"],
     "twisted_sum_coprime": ["twisted-sum", "--x", "1e5", "--q", "12", "--index", "1",
-                            "--filter", "coprime-only", "--segment-length", "997",
-                            "--workers", "2"],
+                            "--filter", "coprime-only", "--workers", "2"],
     "twisted_sum_x1_csv": ["twisted-sum", "--x", "1", "--q", "7", "--index", "3",
                            "--format", "csv"],
     "eta_table_q15": ["eta-table", "--q", "15"],
@@ -102,8 +98,7 @@ CASES = {
     "witness_sqfree_y7": ["witness-sqfree", "--Y", "7", "--x", "1e6"],
     "witness_sqfree_y11": ["witness-sqfree", "--Y", "11", "--x", "1e6"],
     "witness_sqfree_y13_csv": ["witness-sqfree", "--Y", "13", "--x", "1e5",
-                               "--segment-length", "9973", "--workers", "2",
-                               "--format", "csv"],
+                               "--workers", "2", "--format", "csv"],
     "witness_even_y5": ["witness-even", "--Y", "5", "--x", "1e6"],
     "witness_even_y11": ["witness-even", "--Y", "11", "--x", "1e6", "--output", OUT],
     "witness_even_y7_csv": ["witness-even", "--Y", "7", "--x", "1e5", "--format", "csv"],

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from sigmalab import (CensusFilter, OutOfRangeError, ResourceBudgetError, build_modulus, census,
-                      psi_smooth_count, rough_count, rough_omega_histogram)
+from sigmalab import (CensusFilter, Modulus, OutOfRangeError, ResourceBudgetError, build_modulus,
+                      census, psi_smooth_count, rough_count, rough_omega_histogram)
 from sigmalab import _sublinear
-from sigmalab._scan import MAX_SCAN_X, plan
+from sigmalab._scan import DEFAULT_SEGMENT_LENGTH, MAX_SCAN_X, prime_table_bytes, primes_up_to
 from sigmalab.census import _class_totals, _sieve_totals
 from sigmalab.factor import DEFAULT_MEMORY_BUDGET
 
@@ -23,11 +23,11 @@ def grading(f: CensusFilter) -> tuple[int, int]:
 
 
 def both(x: int, q: int, f: CensusFilter) -> tuple[np.ndarray, np.ndarray]:
-    """(sublinear, sieve) class totals on the same plan."""
+    """(sublinear, sieve) class totals on the same primes."""
     m = build_modulus(q)
-    primes, seg_len = plan(x, q)
+    primes = primes_up_to(math.isqrt(x))
     sub = _sublinear.class_totals(x, m, primes, *grading(f), f.kind == "coprime-only")[-1]
-    return sub, _sieve_totals(x, m, f, primes, seg_len, 1)
+    return sub, _sieve_totals(x, m, f, primes, 1)
 
 
 def preferred(x: int, q: int, f: CensusFilter, budget: int = DEFAULT_MEMORY_BUDGET) -> bool:
@@ -106,21 +106,21 @@ def test_census_takes_the_chosen_engine(monkeypatch):
     assert [(x, mod.q) for x, mod in calls] == [(10**6, 5)]
 
 
-@pytest.mark.parametrize("kwargs", [{"segment_length": 0}, {"workers": 0}, {"workers": -2}])
+@pytest.mark.parametrize("kwargs", [{"workers": 0}, {"workers": -2}])
 def test_sublinear_path_refuses_what_the_sieve_refuses(kwargs):
-    """Bad segment lengths and worker counts are refused before dispatch,
-    though the sublinear engine uses neither."""
+    """Bad worker counts are refused before dispatch, though the sublinear
+    engine uses no workers."""
     m, f = build_modulus(5), CensusFilter.all_integers()
     assert preferred(10**6, 5, f)
     with pytest.raises(OutOfRangeError):
-        _class_totals(10**6, m, f, kwargs.get("segment_length"), kwargs.get("workers", 1))
+        _class_totals(10**6, m, f, kwargs["workers"])
 
 
 def test_sublinear_peak_within_table_estimate():
     x, q, f = 10**6, 15, CensusFilter.pk_threshold(2, 100)
     m = build_modulus(q)
     m.units  # build the lazy table before tracing
-    primes, _ = plan(x, q)
+    primes = primes_up_to(math.isqrt(x))
     tracemalloc.start()
     try:
         _sublinear.class_totals(x, m, primes, *grading(f))
@@ -208,24 +208,44 @@ def test_rough_histogram_tables_within_budget():
 
 
 def test_census_below_the_table_budget_takes_the_sieve(monkeypatch):
-    """One byte below table_bytes the census runs the sieve, with the same
-    bytes and a traced peak within the sieve's estimate plus the primes
-    <= sqrt(x); below that estimate too it raises."""
+    """Tables priced above the budget send the census to the sieve, with the
+    same bytes and a traced peak within the sieve's estimate, which counts
+    the primes <= sqrt(x); one byte below that estimate it raises."""
     x, m = 1 << 18, build_modulus(5)
     want = census(x, m)
+    sieve_need = (8 * 5 * 2 + 52 * min(DEFAULT_SEGMENT_LENGTH, x)
+                  + prime_table_bytes(math.isqrt(x)))
     calls = []
     real = _sublinear.class_totals
     monkeypatch.setattr(_sublinear, "class_totals",
                         lambda *args: calls.append(args[0]) or real(*args))
-    budget = _sublinear.table_bytes(x, 5, m.phi) - 1
+    monkeypatch.setattr(_sublinear, "table_bytes", lambda *args: sieve_need + 1)
     tracemalloc.start()
     try:
-        got = census(x, m, segment_length=4_096, memory_budget=budget)
+        got = census(x, m, memory_budget=sieve_need)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert calls == [] and got.counts.value_array.tobytes() == want.counts.value_array.tobytes()
     assert got.total_coprime == want.total_coprime
-    assert peak <= 8 * 5 * 2 + 52 * 4_096 + 8 * len(plan(x)[0])
+    assert peak <= sieve_need
     with pytest.raises(ResourceBudgetError):
-        census(x, m, memory_budget=budget)
+        census(x, m, memory_budget=sieve_need - 1)
+
+
+def test_over_budget_scans_refuse_before_building_primes():
+    """At x = 10^16 neither census engine nor the rough tables fit 10^6
+    bytes; each refuses before the primes <= 10^8 (a 10^8-byte sieve and
+    46 MB of primes) are built, so almost nothing is traced."""
+    m = Modulus(5)
+    m.units  # build the lazy table before tracing
+    for call in (lambda: census(10**16, m, memory_budget=10**6),
+                 lambda: rough_omega_histogram(10**16, 7, memory_budget=10**6)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceBudgetError):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
