@@ -66,17 +66,20 @@ def check_scan_range(x: int, q: int = 1) -> None:
 
 
 def primes_up_to(limit: int) -> np.ndarray:
-    """All primes ≤ limit as an ascending int64 array, from a plain
-    bool-array sieve; it holds limit + 1 bytes and the primes at most."""
+    """All primes ≤ limit as an ascending int64 array, from a bool sieve of
+    the odd n ≤ limit, entry i for n = 2i + 1; it holds (limit + 1)/2 bytes
+    and the primes at most.  Entry 0 (n = 1) is kept and read as 2."""
     if limit < 2:
         return np.zeros(0, dtype=np.int64)
-    composite = np.zeros(limit + 1, dtype=bool)
-    composite[:2] = True
-    for p in range(2, math.isqrt(limit) + 1):
-        if not composite[p]:
-            composite[p * p :: p] = True
-    np.logical_not(composite, out=composite)
-    return np.flatnonzero(composite).astype(np.int64, copy=False)
+    prime = np.ones((limit + 1) // 2, dtype=bool)
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if prime[i]:
+            prime[2 * i * (i + 1) :: 2 * i + 1] = False  # from (2i + 1)², step 2(2i + 1)
+    primes = np.flatnonzero(prime).astype(np.int64, copy=False)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return primes
 
 
 def prime_table_bytes(limit: int) -> int:

@@ -4,7 +4,7 @@ The core question: among n ≤ x whose divisor sum σ(n) is coprime to q,
 how evenly do the values σ(n) mod q spread over the unit classes?
 _class_totals counts them with one of two engines that give the same
 int64 totals, as _sublinear.preferred picks: for small φ(q) the Lucy +
-min_25 engine of _sublinear (x = 10⁷ in about 0.04 s at q = 5), else
+min_25 engine of _sublinear (x = 10⁷ in about 0.02 s at q = 5), else
 the segment sieve, which streams [1, x] through the one segment kernel,
 _scan.scan_segment, in strided prime-power marking with no per-n
 factorization (x = 10⁷ in about 0.4 s on one worker, at any q).
@@ -283,6 +283,31 @@ def _coprime_mask(lo: int, hi: int, m: Modulus) -> np.ndarray:
     return keep
 
 
+def _plan_census(x: int, m: Modulus, f: CensusFilter, workers: int,
+                 budget: int = DEFAULT_MEMORY_BUDGET) -> bool:
+    """Whether the census takes the sublinear engine, after the sieve's input
+    checks and before anything is built.  _sublinear.preferred picks it (about
+    three 2√x × φ(q)·(k + 1) int64 tables, no segments or workers) when
+    x ≥ 2¹⁶, φ(q)·(1 + (k + 1)·α(q)) is small against x^(1/4)·ln x and the
+    tables fit budget bytes, else the sieve: about 8·q·(workers + 1) bytes
+    plus 52 per integer of each worker's segment and the primes ≤ √x, else
+    ResourceBudgetError."""
+    plan(x, m.q, workers)
+    if _sublinear.preferred(x, m, *_grading(f), budget):
+        return True
+    need = (8 * m.q * (workers + 1) + 52 * workers * min(DEFAULT_SEGMENT_LENGTH, x)
+            + prime_table_bytes(math.isqrt(x)))
+    if need > budget:
+        raise ResourceBudgetError(f"census sieve needs about {need} bytes, "
+                                  f"budget is {budget} bytes")
+    return False
+
+
+def _grading(f: CensusFilter) -> tuple[int, int]:
+    """The engine's grades and threshold: k + 1 and t under pk-threshold."""
+    return (f.k + 1, f.threshold) if f.kind == "pk-threshold" else (1, 0)
+
+
 def _class_totals(
     x: int,
     m: Modulus,
@@ -291,24 +316,14 @@ def _class_totals(
     budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> np.ndarray:
     """int64 array over 0..q−1 of #{filtered n ≤ x : σ(n) ≡ a}, zero at non-
-    units a.  After the sieve's input checks, _sublinear.preferred picks the
-    sublinear engine (about three 2√x × φ(q)·(k + 1) int64 tables, no segments
-    or workers) when x ≥ 2¹⁷, φ(q)·(1 + (k + 1)·α(q)) is small against
-    x^(1/4)·ln x and the tables fit budget bytes, else the sieve: about
-    8·q·(workers + 1) bytes plus 52 per integer of each worker's segment and
-    the primes ≤ √x, else ResourceBudgetError; the primes are built after."""
-    plan(x, m.q, workers)
-    grades, t = (f.k + 1, f.threshold) if f.kind == "pk-threshold" else (1, 0)
-    root = math.isqrt(x)
-    if _sublinear.preferred(x, m, grades, t, budget):
-        primes = primes_up_to(root)
-        return _sublinear.class_totals(x, m, primes, grades, t, f.kind == "coprime-only")[-1]
-    need = (8 * m.q * (workers + 1) + 52 * workers * min(DEFAULT_SEGMENT_LENGTH, x)
-            + prime_table_bytes(root))
-    if need > budget:
-        raise ResourceBudgetError(f"census sieve needs about {need} bytes, "
-                                  f"budget is {budget} bytes")
-    return _sieve_totals(x, m, f, primes_up_to(root), workers)
+    units a, from the engine _plan_census picks; the primes ≤ √x are built
+    after its price check."""
+    sublinear = _plan_census(x, m, f, workers, budget)
+    primes = primes_up_to(math.isqrt(x))
+    if sublinear:
+        return _sublinear.class_totals(x, m, primes, *_grading(f),
+                                       f.kind == "coprime-only")[-1]
+    return _sieve_totals(x, m, f, primes, workers)
 
 
 def _sieve_totals(x: int, m: Modulus, f: CensusFilter, primes: np.ndarray,

@@ -334,10 +334,13 @@ class PolynomialSpec:
         return out
 
     def evaluate_array(self, v: np.ndarray, modulus: int) -> np.ndarray:
-        """F(v) mod modulus, vectorized Horner over an int64 array."""
+        """F(v) mod modulus, vectorized Horner over an int64 array, in place:
+        it holds one array as long as v, not a temporary per operation."""
         out = np.zeros_like(v)
         for c in reversed(self.coefficients):
-            out = (out * v + c) % modulus
+            out *= v
+            out += c
+            out %= modulus
         return out
 
     def __str__(self) -> str:

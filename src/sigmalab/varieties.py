@@ -33,7 +33,7 @@ import numpy as np
 
 from ._scan import plan, primes_up_to
 from .characters import Modulus, _crt_pair, _require_prime, build_modulus
-from .census import CensusFilter, census
+from .census import CensusFilter, _plan_census, census
 from .errors import OutOfRangeError, ResourceBudgetError
 from .factor import DEFAULT_MEMORY_BUDGET, Factorization, sigma_mod
 
@@ -259,9 +259,18 @@ class OverrepWitnessReport:
     census_note: str
 
 
-def _witness_modulus(y: int, x: int, power: int) -> tuple[list[int], int]:
+# Per witness kind: the power of each ℓ in q, the k of its P_k(n) > q census,
+# k in words, the class's name.
+_WITNESS_CENSUS = {"even": (2, 4, "four", "the witness class"),
+                   "squarefree": (1, 2, "two", "class 3")}
+
+
+def _witness_modulus(kind: str, y: int, x: int, workers: int,
+                     memory_budget: int) -> tuple[list[int], Modulus]:
     """The primes 5 ≤ ℓ ≤ y and q = 2·∏ ℓ^power of a witness scan of n ≤ x,
-    after the checks of x; q must fit 64 bits."""
+    after the checks of x; q must fit 64 bits, and its census is priced
+    here, before the witness walks its primes."""
+    power, k = _WITNESS_CENSUS[kind][:2]
     if x < 4:
         raise OutOfRangeError(f"x must be >= 4, got {x}")
     plan(x)
@@ -273,21 +282,19 @@ def _witness_modulus(y: int, x: int, power: int) -> tuple[list[int], int]:
         q *= ell**power
         if q >= 1 << 63:
             raise ResourceBudgetError(f"witness modulus for y = {y} exceeds 64 bits")
-    return ells, q
+    m = build_modulus(q)
+    _plan_census(x, m, CensusFilter.pk_threshold(k, q), workers, memory_budget)
+    return ells, m
 
 
-# Per witness kind: the k of its P_k(n) > q census, k in words, the class's name.
-_WITNESS_CENSUS = {"even": (4, "four", "the witness class"),
-                   "squarefree": (2, "two", "class 3")}
-
-
-def _witness_report(kind: str, q: int, y: int, x: int, klass: int, crt_count: int,
+def _witness_report(kind: str, m: Modulus, y: int, x: int, klass: int, crt_count: int,
                     direct_count: int, num_prime_classes: Optional[int], workers: int,
                     memory_budget: int) -> OverrepWitnessReport:
     """The report of one witness construction: its counts, and the
     witness class against the mean of the census under P_k(n) > q."""
-    k, k_words, class_name = _WITNESS_CENSUS[kind]
-    report = census(x, build_modulus(q), CensusFilter.pk_threshold(k, q),
+    q = m.q
+    _, k, k_words, class_name = _WITNESS_CENSUS[kind]
+    report = census(x, m, CensusFilter.pk_threshold(k, q),
                     workers=workers, memory_budget=memory_budget)
     class_count = report.counts.get(klass, 0)
     total = report.total_coprime
@@ -340,7 +347,8 @@ def overrep_witness_even(
     """
     x = int(x)
     y = int(y)
-    ells, q = _witness_modulus(y, x, 2)
+    ells, m = _witness_modulus("even", y, x, workers, memory_budget)
+    q = m.q
     targets = {ell: 9 * pow(16, -1, ell * ell) % (ell * ell) for ell in ells}
     w_q = 1  # the mod-2 component
     mod_so_far = 2
@@ -377,7 +385,7 @@ def overrep_witness_even(
             if sigma_mod(fact, q) == w_q % q:
                 direct_count += 1
 
-    return _witness_report("even", q, y, x, w_q % q, crt_count, direct_count, None,
+    return _witness_report("even", m, y, x, w_q % q, crt_count, direct_count, None,
                            workers, memory_budget)
 
 
@@ -401,7 +409,8 @@ def overrep_witness_sqfree(
     """
     x = int(x)
     y = int(y)
-    ells, q = _witness_modulus(y, x, 1)
+    ells, m = _witness_modulus("squarefree", y, x, workers, memory_budget)
+    q = m.q
 
     crt_count = 0
     direct_count = 0
@@ -414,5 +423,5 @@ def overrep_witness_sqfree(
         if sigma_mod(Factorization(((p, 2),)), q) == 3 % q:
             direct_count += 1
 
-    return _witness_report("squarefree", q, y, x, 3 % q, crt_count, direct_count,
+    return _witness_report("squarefree", m, y, x, 3 % q, crt_count, direct_count,
                            2 ** len(ells), workers, memory_budget)

@@ -77,13 +77,29 @@ SCAN_SHAPES = [
 ]
 
 
+# Rows of the crossover table in CHANGES.md (tools/crossover_table.py) on
+# both sides of the rule's line, with the engine it picks.
+TABLE_PICKS = [
+    (1 << 16, 15, CensusFilter.pk_threshold(2, 10), True),
+    (1 << 16, 29, CensusFilter.all_integers(), False),
+    (1 << 17, 29, CensusFilter.all_integers(), True),
+    (1 << 18, 41, CensusFilter.all_integers(), True),
+    (10**6, 61, CensusFilter.all_integers(), True),
+    (10**6, 101, CensusFilter.all_integers(), False),
+    (10**7, 127, CensusFilter.all_integers(), True),
+    (10**7, 151, CensusFilter.all_integers(), False),
+]
+
+
 def test_dispatch_rule():
     """Small phi(q) at x = 10^7 takes the sublinear engine; a large q, a
     threshold above sqrt(x), a table over the budget or a small x take
-    the sieve."""
+    the sieve; the crossover table's rows keep their picks."""
     x = 10**7
     for q, f in SCAN_SHAPES:
         assert preferred(x, q, f), (q, f)
+    for x_row, q, f, picked in TABLE_PICKS:
+        assert preferred(x_row, q, f) == picked, (x_row, q, f)
     everything = CensusFilter.all_integers()
     for q in (100_003, 1_000_003, 9_999_991):
         assert not preferred(x, q, everything), q
@@ -116,6 +132,59 @@ def test_sublinear_path_refuses_what_the_sieve_refuses(kwargs):
         _class_totals(10**6, m, f, kwargs["workers"])
 
 
+@st.composite
+def cube_boundaries(draw):
+    """x = c^3 - 1, c^3 or c^3 + 1 for 2 <= c <= 60, and cuts drawn from
+    both sides of x^(1/3) and sqrt(x), where the batch of primes starts."""
+    c = draw(st.integers(2, 60))
+    x = c**3 + draw(st.sampled_from([-1, 0, 1]))
+    k, r = _sublinear.icbrt(x), math.isqrt(x)
+    near = st.sampled_from(sorted({1, k - 1, k, k + 1, r - 1, r, r + 1} - {0}))
+    return x, near
+
+
+@settings(max_examples=200, deadline=None)
+@given(shape=cube_boundaries(), data=st.data())
+def test_batch_boundaries_at_cubes(brute, shape, data):
+    """Around x = c^3 the primes just above x^(1/3) change from the
+    per-prime steps to the batch.  Every filter with a threshold on either
+    side of x^(1/3) and sqrt(x) equals the sieve; at q = 1 every window
+    (lo, hi] with ends there gives the Omega tails of FactorSieve.factorize."""
+    x, near = shape
+    q = data.draw(st.one_of(st.integers(1, 200), st.sampled_from(PRIME_POWERS)))
+    kind = data.draw(st.sampled_from(["all", "coprime-only", "pk-threshold"]))
+    f = (CensusFilter.pk_threshold(data.draw(st.integers(1, 3)), data.draw(near))
+         if kind == "pk-threshold" else CensusFilter(kind))
+    sub, sieve = both(x, q, f)
+    assert np.array_equal(sub, sieve), (x, q, f)
+
+    lo = data.draw(st.one_of(near, st.just(x)))
+    hi = data.draw(st.one_of(near, st.just(x)))
+    grades = data.draw(st.integers(1, 4))
+    primes = primes_up_to(math.isqrt(x))
+    got = _sublinear.class_totals(x, build_modulus(1), primes, grades, lo, lo=lo, hi=hi)
+    omega, least, largest = (a[1 : x + 1] for a in brute)
+    keep = (least > lo) & (largest <= hi)
+    keep[0] = True  # n = 1
+    tails = np.cumsum(np.bincount(omega[keep], minlength=64)[::-1])[::-1]
+    assert got[:, 0].tolist() == tails[:grades].tolist(), (x, lo, hi, grades)
+
+
+@given(c=st.integers(1, 2_097_151))
+def test_icbrt_exact_at_cube_boundaries(c):
+    """The integer cube root is exact next to every cube up to 2^63 - 1,
+    where a float cube root can round either way."""
+    assert _sublinear.icbrt(c**3) == c
+    assert _sublinear.icbrt(c**3 - 1) == c - 1
+    if c**3 < 2**63 - 1:
+        assert _sublinear.icbrt(c**3 + 1) == c
+
+
+def test_icbrt_at_the_ends():
+    assert [_sublinear.icbrt(x) for x in (0, 1, 7, 8, 26, 27)] == [0, 1, 1, 2, 2, 3]
+    assert _sublinear.icbrt(2**63 - 1) == 2_097_151
+
+
 def test_sublinear_peak_within_table_estimate():
     x, q, f = 10**6, 15, CensusFilter.pk_threshold(2, 100)
     m = build_modulus(q)
@@ -134,9 +203,9 @@ def test_sublinear_peak_within_table_estimate():
 
 @pytest.fixture(scope="module")
 def brute(sieve_million):
-    """Omega(n), the least and the largest prime factor for 0 <= n <= 30 000,
+    """Omega(n), the least and the largest prime factor for 0 <= n <= 60^3 + 1,
     from FactorSieve.factorize (1 for both factors at n <= 1)."""
-    facts = [sieve_million.factorize(n) for n in range(1, 30_001)]
+    facts = [sieve_million.factorize(n) for n in range(1, 60**3 + 2)]
     omega = np.array([0] + [f.num_prime_factors for f in facts])
     least = np.array([0] + [f.smallest_prime_factor for f in facts])
     largest = np.array([0] + [f.largest_prime_factor for f in facts])
@@ -205,6 +274,39 @@ def test_rough_histogram_tables_within_budget():
     finally:
         tracemalloc.stop()
     assert got.sum() == rough_count(x, y) and peak <= need
+
+
+def batch_pairs(x: int) -> int:
+    """The (row, prime) pairs of the batch: rows v >= p^2 of x^(1/3) < p <= sqrt(x)."""
+    p = primes_up_to(math.isqrt(x))
+    return int(np.sum(x // p[p > _sublinear.icbrt(x)] ** 2))
+
+
+def test_batch_peak_within_table_bytes_at_large_x():
+    """Where the batch's pairs outnumber the rows of V, so that it gathers in
+    several chunks, the traced peak stays within table_bytes: a census at
+    10^9 with q = 5 and the rough Omega-histogram at 10^8, which also builds
+    its primes."""
+    x, m = 10**9, build_modulus(5)
+    m.units  # build the lazy table before tracing
+    assert batch_pairs(x) > 2 * math.isqrt(x) and batch_pairs(10**8) > 2 * 10**4
+    primes = primes_up_to(math.isqrt(x))
+    tracemalloc.start()
+    try:
+        _sublinear.class_totals(x, m, primes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _sublinear.table_bytes(x, 5, m.phi)
+    x, y = 10**8, 7
+    need = _sublinear.table_bytes(x, 1, math.floor(math.log(x) / math.log(y)) + 2)
+    tracemalloc.start()
+    try:
+        rough_omega_histogram(x, y, memory_budget=need)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need
 
 
 def test_census_below_the_table_budget_takes_the_sieve(monkeypatch):

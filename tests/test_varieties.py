@@ -7,6 +7,7 @@ distributions convolved via CRT) must agree exactly.
 """
 
 import math
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -291,6 +292,22 @@ def test_witness_validation():
         overrep_witness_even(4, 10**6)
     with pytest.raises(ResourceBudgetError):
         overrep_witness_even(23, 10**6)
+
+
+def test_over_budget_witnesses_refuse_before_walking_primes():
+    """At x = 10^16 the witness census fits neither engine in 10^6 bytes;
+    both witnesses refuse before they build and walk the primes <= 10^8
+    (a 5 * 10^7-byte sieve and 46 MB of primes), so almost nothing is
+    traced."""
+    for witness in (overrep_witness_even, overrep_witness_sqfree):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceBudgetError):
+                witness(7, 10**16, memory_budget=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6, witness
 
 
 @pytest.mark.parametrize("witness", [overrep_witness_sqfree, overrep_witness_even])
