@@ -83,7 +83,8 @@ def primes_up_to(limit: int) -> np.ndarray:
 
 
 def prime_table_bytes(limit: int) -> int:
-    """Peak bytes of primes_up_to(limit): limit + 1 sieve bytes and 8 per
+    """An upper bound on the peak bytes of primes_up_to(limit): limit + 1
+    sieve bytes, where the odd-only sieve holds (limit + 1)/2, and 8 per
     prime, as π(limit) < 1.26·limit/ln limit; 0 below 2."""
     return limit + 1 + 8 * math.ceil(1.26 * limit / math.log(limit)) if limit > 1 else 0
 

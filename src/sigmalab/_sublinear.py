@@ -85,13 +85,27 @@ def _rows(x: int, v: int) -> int:
 
 def _quotient_rows(x: int, V: np.ndarray, end: int, d: int) -> np.ndarray:
     """The rows of ⌊V[i]/d⌋ for i < end, where V[end − 1] ≥ d.  For i < √x/d,
-    ⌊V[i]/d⌋ = ⌊x/((i + 1)·d)⌋ has row (i + 1)·d − 1; the rest lie below ⌊x/√x⌋."""
+    ⌊V[i]/d⌋ = ⌊x/((i + 1)·d)⌋ has row (i + 1)·d − 1; the rest lie below ⌊x/√x⌋.
+    One divisor d splits the rows at √x/d and divides V by a scalar, several
+    times faster than _divisor_rows on the divisors (i + 1)·d."""
     r = math.isqrt(x)
     a = min(end, r // d)
     rows = np.empty(end, dtype=np.int64)
     rows[:a] = np.arange(d - 1, a * d, d)
     np.floor_divide(V[a:end], d, out=rows[a:])
     np.subtract(r + x // r - 1, rows[a:], out=rows[a:])
+    return rows
+
+
+def _divisor_rows(x: int, d: np.ndarray) -> np.ndarray:
+    """The rows of ⌊x/d⌋ for an int64 array of 1 ≤ d ≤ x, overwriting d: row
+    d − 1 while d ≤ √x, and a division only for the d above, whose ⌊x/d⌋
+    lie below ⌊x/√x⌋."""
+    r = math.isqrt(x)
+    far = d > r
+    rows = d - 1
+    np.floor_divide(x, d, out=d, where=far)
+    np.subtract(r + x // r - 1, d, out=rows, where=far)
     return rows
 
 
@@ -109,7 +123,6 @@ def _batch(x: int, tab: np.ndarray, ps: np.ndarray, cols: np.ndarray, step) -> N
     at most about |V|/2 at a time: one gather and one np.add.reduceat each."""
     if ps.shape[0] == 0:
         return
-    r = math.isqrt(x)
     width = tab.shape[1]
     flat = tab.reshape(-1)
     count = _prefix_counts(ps, x)
@@ -121,10 +134,12 @@ def _batch(x: int, tab: np.ndarray, ps: np.ndarray, cols: np.ndarray, step) -> N
         offsets = start[i0:i1] - start[i0]
         d = np.repeat(np.arange(i0 + 1, i1 + 1), count[i0:i1])  # V[i] = ⌊x/(i + 1)⌋
         j = np.arange(d.shape[0]) - np.repeat(offsets, count[i0:i1])
-        d *= ps[j]  # ⌊V[i]/p⌋ = ⌊x/d⌋, whose row is d − 1 when d ≤ √x
+        d *= ps[j]  # ⌊V[i]/p⌋ = ⌊x/d⌋
         idx = cols[j]
-        idx += (np.where(d <= r, d - 1, r + x // r - 1 - x // d) * width)[:, None]
-        del d, j
+        at = _divisor_rows(x, d)
+        at *= width
+        idx += at[:, None]
+        del d, j, at
         vals = flat[idx]
         del idx
         rows = tab[i0:i1]

@@ -461,16 +461,17 @@ def prime_reciprocal_sum(
     the classic Σ 1/p.  Summation is sequential in ascending prime
     order in fixed chunks of 2²⁰ primes, hence reproducible to the bit.
 
-    The primes come from one bool sieve of x + 1 bytes and an int64
-    array of π(x) < 1.26·x/ln x entries, and each chunk adds about five
-    8-byte temporaries per prime; when those exceed memory_budget bytes,
+    The primes come from one bool sieve of the odd n ≤ x, (x + 1)/2
+    bytes, and an int64 array of π(x) < 1.26·x/ln x entries, and each
+    chunk adds about five 8-byte temporaries per prime.  The price counts
+    x + 1 sieve bytes, an upper bound; when it exceeds memory_budget bytes,
     ResourceBudgetError is raised before any of them is allocated.
     """
     x = int(x)
     if x < 2:
         raise OutOfRangeError(f"x must be >= 2, got {x}")
     check_scan_range(x)
-    table = prime_table_bytes(x)  # x + 1 sieve bytes, then 8 per prime
+    table = prime_table_bytes(x)  # at most x + 1 sieve bytes, then 8 per prime
     need = table + 5 * min(8 * _PRIME_CHUNK, table - x - 1)
     if need > memory_budget:
         raise ResourceBudgetError(

@@ -3,17 +3,16 @@
 For each (x, q, filter) row it times both census engines by direct calls on
 one core, the sublinear engine (_sublinear.class_totals) and the segment
 sieve (census._sieve_totals), on the same primes <= sqrt(x), built outside
-the timer, and prints the median of --repeat runs of each as a Markdown
+the timer, and prints the median of REPEAT runs of each as a Markdown
 table.  "ratio" is sublinear over sieve time; "picked" is the engine that
 _sublinear.preferred chooses under the default memory budget.  The rule
 should never pick the engine that is more than 1.5x slower.
 
-    PYTHONPATH=src python tools/crossover_table.py [--repeat 3]
+    PYTHONPATH=src python tools/crossover_table.py
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import statistics
 import time
@@ -24,6 +23,7 @@ from sigmalab._scan import primes_up_to
 from sigmalab.census import _grading, _sieve_totals
 
 ALL = CensusFilter.all_integers()
+REPEAT = 3  # runs per engine and row
 
 
 def pk(t: int) -> CensusFilter:
@@ -44,9 +44,9 @@ ROWS = [
 ]
 
 
-def median_time(call, repeat: int) -> float:
+def median_time(call) -> float:
     times = []
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         start = time.perf_counter()
         call()
         times.append(time.perf_counter() - start)
@@ -58,9 +58,6 @@ def power(x: int) -> str:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeat", type=int, default=3, help="runs per engine and row")
-    args = parser.parse_args()
     print("| x | q, filter | φ(q)·(k+1) | φ(q)·(1+(k+1)·α(q)) | sublinear s | sieve s "
           "| ratio | picked |")
     print("| --- | --- | --- | --- | --- | --- | --- | --- |")
@@ -70,9 +67,8 @@ def main() -> None:
         grades, t = _grading(f)
         primes = primes_up_to(math.isqrt(x))
         coprime = f.kind == "coprime-only"
-        sub = median_time(lambda: _sublinear.class_totals(x, m, primes, grades, t, coprime),
-                          args.repeat)
-        sieve = median_time(lambda: _sieve_totals(x, m, f, primes, 1), args.repeat)
+        sub = median_time(lambda: _sublinear.class_totals(x, m, primes, grades, t, coprime))
+        sieve = median_time(lambda: _sieve_totals(x, m, f, primes, 1))
         picked = _sublinear.preferred(x, m, grades, t, DEFAULT_MEMORY_BUDGET)
         name = "all" if f.kind == "all" else f"P₂ > {f.threshold}"
         work = m.phi * (1 + grades * float(m.alpha))
