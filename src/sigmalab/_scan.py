@@ -83,10 +83,17 @@ def primes_up_to(limit: int) -> np.ndarray:
 
 
 def prime_table_bytes(limit: int) -> int:
-    """An upper bound on the peak bytes of primes_up_to(limit): limit + 1
-    sieve bytes, where the odd-only sieve holds (limit + 1)/2, and 8 per
-    prime, as π(limit) < 1.26·limit/ln limit; 0 below 2."""
-    return limit + 1 + 8 * math.ceil(1.26 * limit / math.log(limit)) if limit > 1 else 0
+    """Peak bytes of primes_up_to(limit): the (limit + 1)//2 bytes of the
+    odd-only sieve and 8 per prime, as π(limit) < 1.26·limit/ln limit;
+    0 below 2."""
+    return (limit + 1) // 2 + 8 * math.ceil(1.26 * limit / math.log(limit)) if limit > 1 else 0
+
+
+def kernel_bytes(hi: int, large: bool) -> int:
+    """Bytes per integer of one thread's scan_segment arrays on segments ending
+    at or below hi: two int64, three of the kernel's width, the leftover mask
+    and, when large, the large-factor counts."""
+    return 17 + 3 * (4 if hi <= _INT32_MAX else 8) + large
 
 
 def plan(x: int, q: int = 1, workers: int = 1) -> None:

@@ -50,8 +50,8 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import _sublinear
-from ._scan import (DEFAULT_SEGMENT_LENGTH, check_scan_range, map_segments, plan,
-                    prime_table_bytes, primes_up_to, release_scratch, scan_segment,
+from ._scan import (DEFAULT_SEGMENT_LENGTH, check_scan_range, kernel_bytes, map_segments,
+                    plan, prime_table_bytes, primes_up_to, release_scratch, scan_segment,
                     segment_bounds)
 from .characters import DirichletCharacter, Modulus
 from .charsums import PolynomialSpec
@@ -289,13 +289,16 @@ def _plan_census(x: int, m: Modulus, f: CensusFilter, workers: int,
     checks and before anything is built.  _sublinear.preferred picks it (about
     three 2√x × φ(q)·(k + 1) int64 tables, no segments or workers) when
     x ≥ 2¹⁶, φ(q)·(1 + (k + 1)·α(q)) is small against x^(1/4)·ln x and the
-    tables fit budget bytes, else the sieve: about 8·q·(workers + 1) bytes
-    plus 52 per integer of each worker's segment and the primes ≤ √x, else
-    ResourceBudgetError."""
+    tables fit budget bytes, else the sieve, else ResourceBudgetError: 8·q
+    bytes of totals, the primes ≤ √x, and per worker the kernel's arrays, a
+    filtered σ and its mask, a bincount if a segment can admit q integers
+    and 128 KiB of ufunc buffers."""
     plan(x, m.q, workers)
     if _sublinear.preferred(x, m, *_grading(f), budget):
         return True
-    need = (8 * m.q * (workers + 1) + 52 * workers * min(DEFAULT_SEGMENT_LENGTH, x)
+    seg = min(DEFAULT_SEGMENT_LENGTH, x)
+    per_int = kernel_bytes(x + 1, f.kind == "pk-threshold") + 9 * (f.kind != "all")
+    need = (8 * m.q + workers * (8 * m.q * (seg >= m.q) + per_int * seg + (1 << 17))
             + prime_table_bytes(math.isqrt(x)))
     if need > budget:
         raise ResourceBudgetError(f"census sieve needs about {need} bytes, "
@@ -461,18 +464,18 @@ def prime_reciprocal_sum(
     the classic Σ 1/p.  Summation is sequential in ascending prime
     order in fixed chunks of 2²⁰ primes, hence reproducible to the bit.
 
-    The primes come from one bool sieve of the odd n ≤ x, (x + 1)/2
+    The primes come from one bool sieve of the odd n ≤ x, (x + 1)//2
     bytes, and an int64 array of π(x) < 1.26·x/ln x entries, and each
-    chunk adds about five 8-byte temporaries per prime.  The price counts
-    x + 1 sieve bytes, an upper bound; when it exceeds memory_budget bytes,
-    ResourceBudgetError is raised before any of them is allocated.
+    chunk adds about five 8-byte temporaries per prime.  When their sum
+    exceeds memory_budget bytes, ResourceBudgetError is raised before any
+    of them is allocated.
     """
     x = int(x)
     if x < 2:
         raise OutOfRangeError(f"x must be >= 2, got {x}")
     check_scan_range(x)
-    table = prime_table_bytes(x)  # at most x + 1 sieve bytes, then 8 per prime
-    need = table + 5 * min(8 * _PRIME_CHUNK, table - x - 1)
+    table = prime_table_bytes(x)  # (x + 1)//2 sieve bytes, then 8 per prime
+    need = table + 5 * min(8 * _PRIME_CHUNK, table - (x + 1) // 2)
     if need > memory_budget:
         raise ResourceBudgetError(
             f"prime table for x = {x} needs about {need} bytes, "

@@ -50,6 +50,7 @@ from .errors import OutOfRangeError, ResourceBudgetError, UnsupportedModulusErro
 from .factor import DEFAULT_MEMORY_BUDGET
 from .lsd import convergence_scan, g_one_euler_product
 from .varieties import (
+    _lift_target,
     curve_point_count,
     lift_count_mod_ell_squared,
     overrep_witness_even,
@@ -61,7 +62,7 @@ ENV_MEMORY_BUDGET = "SIGMALAB_MEMORY_BUDGET"
 
 
 def _parse_int(text: str) -> int:
-    """Integer flag value; scientific notation like 1e7 is accepted."""
+    """Integer flag value; scientific notation like 1e7 is read exactly."""
     try:
         return int(text, 10)
     except ValueError:
@@ -72,10 +73,10 @@ def _parse_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
-    rounded = int(round(value))
-    if abs(value - rounded) > 1e-6 * max(1.0, abs(value)):
+    exact = Fraction(text)
+    if exact.denominator != 1:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    return rounded
+    return exact.numerator
 
 
 def _parse_float(text: str) -> float:
@@ -458,7 +459,7 @@ def _cmd_v_count(args: argparse.Namespace) -> int:
 def _cmd_lift_count(args: argparse.Namespace) -> int:
     count = lift_count_mod_ell_squared(args.ell)
     pp = args.ell * args.ell
-    payload = {"ell": args.ell, "modulus": pp, "target": 9 * pow(16, -1, pp) % pp,
+    payload = {"ell": args.ell, "modulus": pp, "target": _lift_target(args.ell),
                "count": count, "count_over_ell_squared": count / pp}
     _emit(args, payload, ["ell", "modulus", "target", "count",
                           "count_over_ell_squared"],

@@ -10,10 +10,10 @@ Three families of counting problems live here, all exact:
   * Counts over 𝔽_ℓ of the plane curves (X²+3)(Y²+3) = 9 (the
     completed-square form) and (X²+X+1)(Y²+Y+1) = w (the σ-product
     form), plus the companion count of unit pairs mod ℓ² hitting the
-    distinguished target 9·16^{−1}.  The curves are absolutely
-    irreducible for ℓ ≥ 5, so their counts stay within O(√ℓ) of ℓ;
-    we verify that window numerically rather than certifying
-    irreducibility.
+    distinguished target 9·16^{−1}, each paired along the generator
+    powers of the unit group.  The curves are absolutely irreducible
+    for ℓ ≥ 5, so their counts stay within O(√ℓ) of ℓ; we verify that
+    window numerically rather than certifying irreducibility.
 
   * Witness constructions: explicit moduli q built from primes
     5 ≤ ℓ ≤ Y and the residue classes that scoop up all n = (P₁P₂)²
@@ -32,7 +32,8 @@ from typing import Optional
 import numpy as np
 
 from ._scan import plan, primes_up_to
-from .characters import Modulus, _crt_pair, _require_prime, build_modulus
+from .characters import (Modulus, _crt_pair, _power_table, _primitive_root_prime_power,
+                         _require_prime, build_modulus)
 from .census import CensusFilter, _plan_census, census
 from .errors import OutOfRangeError, ResourceBudgetError
 from .factor import DEFAULT_MEMORY_BUDGET, Factorization, sigma_mod
@@ -154,20 +155,22 @@ def v_count(
     return SolutionCount(q=q, w=w, arity=arity, count=total)
 
 
-def _modpow_array(base: np.ndarray, exponent: int, mod: int) -> np.ndarray:
-    """base**exponent mod `mod`, elementwise, by binary powering.
+def _lift_target(ell: int) -> int:
+    """9·16^{−1} mod ℓ², the class the diagonal v_1 + v_2 ≡ −1 hits."""
+    pp = ell * ell
+    return 9 * pow(16, -1, pp) % pp
 
-    Safe in int64 as long as mod² < 2^63, i.e. mod below ~3·10⁹.
-    """
-    result = np.ones_like(base)
-    b = base % mod
-    e = int(exponent)
-    while e:
-        if e & 1:
-            result = result * b % mod
-        b = b * b % mod
-        e >>= 1
-    return result
+
+def _product_pairs(hist: np.ndarray, ell: int, e: int, target: int) -> int:
+    """Σ_s hist[s]·hist[target·s^{−1}] over the units s mod ℓ^e, target a unit
+    g^k reduced mod ℓ^e: along the powers g^j of a generator, g^j pairs with
+    g^{k−j}, which the sequence reversed and rotated by k + 1 puts at j."""
+    pp = ell**e
+    order = pp // ell * (ell - 1)
+    powers = _power_table(_primitive_root_prime_power(ell, e), order, pp)
+    k = int(np.flatnonzero(powers == target)[0])
+    h = hist[powers]
+    return int(h @ np.roll(h[::-1], k + 1))
 
 
 def lift_count_mod_ell_squared(ell: int) -> int:
@@ -176,19 +179,13 @@ def lift_count_mod_ell_squared(ell: int) -> int:
     The target 9·16^{−1} mod ℓ² is the value hit by the diagonal
     family v_1 + v_2 ≡ −1, which alone contributes ℓ² pairs, so the
     count is at least ℓ²; the full count sits near 2ℓ².  Evaluated
-    directly from the value distribution and an inverse table, a
-    different route from v_count's convolution, so the two serve as
-    mutual oracles.
+    directly from the value distribution, paired along the powers of a
+    generator of U_{ℓ²}, a different route from v_count's convolution,
+    so the two serve as mutual oracles.
     """
     ell = _require_prime(ell, floor=5)
-    pp = ell * ell
-    w = 9 * pow(16, -1, pp) % pp
-    dist, units = _block_value_distribution(pp, ell)
-    # t ranges over unit values; the cofactor needed is w·t^{−1},
-    # with t^{−1} = t^{φ(ℓ²)−1} and φ(ℓ²)−1 = ℓ²−ℓ−1.
-    inv_units = _modpow_array(units, pp - ell - 1, pp)
-    cofactor = (w * inv_units) % pp
-    return int(np.sum(dist[units] * dist[cofactor]))
+    dist = _block_value_distribution(ell * ell, ell)[0]
+    return _product_pairs(dist, ell, 2, _lift_target(ell))
 
 
 def curve_point_count(ell: int, which: str = "completed-square", w: int = 1) -> CurveCount:
@@ -197,8 +194,8 @@ def curve_point_count(ell: int, which: str = "completed-square", w: int = 1) -> 
     'completed-square' counts (X²+3)(Y²+3) = 9; 'sigma-product'
     counts (X²+X+1)(Y²+Y+1) = w.  Both run over all of 𝔽_ℓ², pairing
     the value histograms of the two factors: for a nonzero target the
-    pairs are Σ_{s≠0} h[s]·h[target/s], and for target ≡ 0 they are
-    h[0]·(2ℓ − h[0]).
+    pairs are Σ_{s≠0} h[s]·h[target/s], paired along the powers of a
+    generator of 𝔽_ℓ^×, and for target ≡ 0 they are h[0]·(2ℓ − h[0]).
     """
     ell = _require_prime(ell, floor=2)
     if which not in ("completed-square", "sigma-product"):
@@ -213,19 +210,10 @@ def curve_point_count(ell: int, which: str = "completed-square", w: int = 1) -> 
         target = int(w) % ell
         w_field = int(w)
     hist = np.bincount(values, minlength=ell).astype(np.int64)
-    if target == 0:
-        count = int(hist[0] * (2 * ell - hist[0]))
-    else:
-        s = np.arange(1, ell, dtype=np.int64)
-        inv_s = _modpow_array(s, ell - 2, ell)
-        count = int(np.sum(hist[s] * hist[(target * inv_s) % ell]))
-    return CurveCount(
-        ell=ell,
-        which=which,
-        w=w_field,
-        count=count,
-        bound_certified=ell >= 5,
-    )
+    count = (int(hist[0] * (2 * ell - hist[0])) if target == 0
+             else _product_pairs(hist, ell, 1, target))
+    return CurveCount(ell=ell, which=which, w=w_field, count=count,
+                      bound_certified=ell >= 5)
 
 
 @dataclass(frozen=True)
@@ -349,7 +337,7 @@ def overrep_witness_even(
     y = int(y)
     ells, m = _witness_modulus("even", y, x, workers, memory_budget)
     q = m.q
-    targets = {ell: 9 * pow(16, -1, ell * ell) % (ell * ell) for ell in ells}
+    targets = {ell: _lift_target(ell) for ell in ells}
     w_q = 1  # the mod-2 component
     mod_so_far = 2
     for ell in ells:

@@ -29,7 +29,8 @@ from sigmalab import (
     PolynomialSpec,
 )
 from sigmalab import _sublinear
-from sigmalab._scan import primes_up_to
+from sigmalab._scan import (kernel_bytes, prime_table_bytes, primes_up_to, release_scratch,
+                            scan_segment)
 from sigmalab.census import (
     ClassCounts,
     _coprime_mask,
@@ -154,6 +155,54 @@ def test_class_totals_memory_bounded_by_workers(x, q, workers, bound):
         tracemalloc.stop()
     assert peak < bound
     assert int(totals.sum()) == census(x, m).total_coprime
+
+
+def sieve_census_need(x: int, q: int, kind: str, workers: int) -> int:
+    """The sieve census's price below 2^31: the totals and the primes <=
+    sqrt(x), and per worker the kernel's 29 bytes per integer of its segment,
+    9 more for the filtered copy of sigma and its mask, 1 more for the
+    large-factor counts, an 8q-byte bincount when a segment can admit q
+    integers, and 128 KiB of ufunc buffers and small temporaries."""
+    seg = min(L, x)
+    per_int = 29 + 9 * (kind != "all") + (kind == "pk-threshold")
+    return (8 * q + workers * (8 * q * (seg >= q) + per_int * seg + (1 << 17))
+            + prime_table_bytes(math.isqrt(x)))
+
+
+def test_sieve_census_peak_matches_its_price(sieve_engine):
+    """The sieve census's traced peak lies within its price and at or above
+    80% of it, for sparse and dense q, every filter and 1 or 2 workers; one
+    byte below the price it refuses.  The pk-threshold case uses t = 2, which
+    almost every n passes: the price assumes a segment admits every integer.
+    A segment beyond 2^31, in int64 width, stays within kernel_bytes too."""
+    x = 3 * L
+    for q in (5, 2 * L + 17):
+        m = build_modulus(q)
+        m.units  # build the lazy table before tracing
+        for f in (CensusFilter.all_integers(), CensusFilter.coprime_only(),
+                  CensusFilter.pk_threshold(1, 2)):
+            for workers in (1, 2):
+                need = sieve_census_need(x, q, f.kind, workers)
+                with pytest.raises(ResourceBudgetError):
+                    census(x, m, f, workers=workers, memory_budget=need - 1)
+                tracemalloc.start()
+                try:
+                    census(x, m, f, workers=workers, memory_budget=need)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert 0.8 * need <= peak <= need, (q, f.kind, workers, peak, need)
+    lo = 10**10
+    primes = primes_up_to(math.isqrt(lo + L))
+    tracemalloc.start()
+    try:
+        scan_segment(lo, lo + L, primes, q=5, above=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        release_scratch()
+    need = kernel_bytes(lo + L, True) * L + (1 << 17)
+    assert 0.8 * need <= peak <= need
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -393,10 +442,10 @@ def test_prime_reciprocal_sum_membership():
 
 
 def prime_reciprocal_need(x: int, chunk: int = 1 << 20) -> int:
-    """x + 1 sieve bytes, 8 bytes per prime (pi(x) < 1.26*x/ln x) and
-    five 8-byte temporaries per prime of one chunk."""
+    """(x + 1)//2 bytes of the odd-only sieve, 8 bytes per prime (pi(x) <
+    1.26*x/ln x) and five 8-byte temporaries per prime of one chunk."""
     n_primes = math.ceil(1.26 * x / math.log(x))
-    return x + 1 + 8 * n_primes + 5 * 8 * min(chunk, n_primes)
+    return (x + 1) // 2 + 8 * n_primes + 5 * 8 * min(chunk, n_primes)
 
 
 def test_prime_reciprocal_sum_checks_budget():
@@ -419,8 +468,8 @@ def test_prime_reciprocal_sum_checks_budget():
 
 def test_prime_reciprocal_sum_peak_within_estimate():
     """The whole call, per-chunk temporaries included, stays within the
-    estimate its budget check uses (about 3.1 MB traced against 5.4 MB at
-    x = 10^6; the sieve and the primes alone would be 1.73 MB)."""
+    estimate its budget check uses (about 2.2 MB traced against 4.9 MB at
+    x = 10^6; the sieve and the primes alone are priced at 1.23 MB)."""
     F, m = PolynomialSpec((1, 1, 1)), build_modulus(7)
     tracemalloc.start()
     try:
@@ -436,7 +485,7 @@ def test_prime_reciprocal_sum_prices_chunk_temporaries():
     temporaries is refused before anything is allocated."""
     F, m = PolynomialSpec((1, 1, 1)), build_modulus(7)
     x = 10**6
-    without_chunk = x + 1 + 8 * math.ceil(1.26 * x / math.log(x))
+    without_chunk = (x + 1) // 2 + 8 * math.ceil(1.26 * x / math.log(x))
     budget = (without_chunk + prime_reciprocal_need(x)) // 2
     tracemalloc.start()
     try:

@@ -130,6 +130,12 @@ def test_exit_code_2_on_bad_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["census", "--x", "abc", "--q", "5"])
     assert exc.value.code == 2
+    # integer flags take the exact value of the text, with no tolerance
+    assert cli._parse_int("1.2345678901234567e18") == 1234567890123456700
+    assert cli._parse_int("2.5e1") == 25
+    for text in ("10000000.5", "1e-3"):
+        with pytest.raises(argparse.ArgumentTypeError, match="not an integer"):
+            cli._parse_int(text)
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 2
@@ -251,9 +257,10 @@ def test_curve_and_lift_payloads(tmp_path):
     assert code == 0 and doc["count"] == 45 and doc["target"] == 24
 
 
-@pytest.mark.parametrize("x", ["inf", "nan", "-5"])
+@pytest.mark.parametrize("x", ["inf", "nan", "-5", "1e400", "10000000.5"])
 def test_exit_code_2_on_out_of_range_x(capsys, x):
-    """Non-finite or negative --x: one line on stderr and exit 2, no traceback."""
+    """Non-finite, negative or fractional --x: one line on stderr and exit 2,
+    no traceback."""
     try:
         code = cli.main(["census", "--x", x, "--q", "5"])
     except SystemExit as exc:

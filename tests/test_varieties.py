@@ -24,6 +24,7 @@ from sigmalab import (
     quadratic_root_count,
     v_count,
 )
+from sigmalab._scan import primes_up_to
 
 
 def brute_v_count(q: int, w: int, arity: int) -> int:
@@ -191,6 +192,16 @@ def test_lift_count_pinned_and_brute():
         assert lift_count_mod_ell_squared(ell) == brute_lift_count(ell)
 
 
+def test_lift_count_matches_v_count():
+    """The pairing along generator powers against v_count's scatter
+    convolution, past the primes brute force reaches."""
+    for ell in primes_up_to(59).tolist():
+        if ell >= 5:
+            pp = ell * ell
+            want = v_count(build_modulus(pp), 9 * pow(16, -1, pp), 2).count
+            assert lift_count_mod_ell_squared(ell) == want, ell
+
+
 def test_lift_count_window():
     """count/ell^2 within 2 +- 6/sqrt(ell), and at least ell^2 flat."""
     for ell in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59):
@@ -221,9 +232,12 @@ def brute_curve_count(ell: int, which: str, w: int) -> int:
 
 
 def test_curve_counts_match_brute():
+    """Every sigma-product target w mod ell for ell <= 13, w = 0 and the
+    one-element group at ell = 2 among them."""
     for ell in (2, 3, 5, 7, 11, 13, 17):
-        for which, w in (("completed-square", 1), ("sigma-product", 1),
-                         ("sigma-product", 2)):
+        extra = [("sigma-product", w) for w in range(3, ell)] if ell <= 13 else []
+        for which, w in [("completed-square", 1), ("sigma-product", 1),
+                         ("sigma-product", 2), ("sigma-product", 0)] + extra:
             got = curve_point_count(ell, which, w)
             assert got.count == brute_curve_count(ell, which, w), (ell, which, w)
             assert got.bound_certified == (ell >= 5)
