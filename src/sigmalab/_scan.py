@@ -1,6 +1,8 @@
 """Deterministic segment-parallel scans over integer ranges: plan, the one
-input check every scan runs before it builds its primes ≤ √x, and
-scan_segment, the one segment kernel of the scans that sieve [1, x] in
+input check every scan runs before it builds its primes ≤ √x,
+check_budget, the one refusal of tables priced above a byte budget
+(DEFAULT_MEMORY_BUDGET unless the caller gives one), and scan_segment,
+the one segment kernel of the scans that sieve [1, x] in
 DEFAULT_SEGMENT_LENGTH segments: the censuses _sublinear does not take,
 the σ stream and the witnesses.  The rough and smooth counts run plan
 and then _sublinear, not the kernel.
@@ -19,8 +21,8 @@ once, at the end, whatever q is.  Above that switch every segment is
 int64 and q ≤ MAX_SCAN_Q < hi; σ(P) is reduced before it is multiplied
 in, and each prime's σ view too when (q − 1)^ω_max can leave int64, so
 products of residues stay below q² or below (q − 1)^ω(n).  So every
-value fits when x ≤ MAX_SCAN_X and q ≤ MAX_SCAN_Q, and
-check_scan_range refuses the rest before any table is built.
+value fits when x ≤ MAX_SCAN_X and q ≤ MAX_SCAN_Q, and plan
+refuses the rest before any table is built.
 
 Reuse: each thread keeps one set of kernel arrays (σ, the factor
 buffer, n and its cofactor, the found part, a spare, the leftover
@@ -41,7 +43,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import OutOfRangeError
+from .errors import OutOfRangeError, ResourceBudgetError
 
 _INT64_MAX = 2**63 - 1
 _INT32_MAX = 2**31 - 1
@@ -51,18 +53,21 @@ MAX_SCAN_Q = math.isqrt(_INT64_MAX)
 _FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
 
+# Bytes a call may allocate for its tables unless given another budget.
+DEFAULT_MEMORY_BUDGET = 2_000_000_000
 # The segment length of every sieve scan.
 DEFAULT_SEGMENT_LENGTH = 1 << 20
 # The prefix of n that _fill_range writes with np.arange before doubling it.
 _FILL_BLOCK = 1 << 12
 
 
-def check_scan_range(x: int, q: int = 1) -> None:
-    """Raise OutOfRangeError unless x ≤ MAX_SCAN_X and q ≤ MAX_SCAN_Q."""
-    if x > MAX_SCAN_X:
-        raise OutOfRangeError(f"x = {x} exceeds {MAX_SCAN_X}: n + 1 must fit in int64")
-    if q > MAX_SCAN_Q:
-        raise OutOfRangeError(f"q = {q} exceeds {MAX_SCAN_Q}: q^2 must fit in int64")
+def check_budget(need: int, budget: int, what: str) -> None:
+    """Raise ResourceBudgetError when need bytes, the price of `what`,
+    exceed budget; every table priced in bytes is checked here before it
+    is allocated."""
+    if need > budget:
+        raise ResourceBudgetError(f"{what} would take about {need} bytes, "
+                                  f"budget is {budget} bytes")
 
 
 def primes_up_to(limit: int) -> np.ndarray:
@@ -99,15 +104,18 @@ def kernel_bytes(hi: int, large: bool) -> int:
 def plan(x: int, q: int = 1, workers: int = 1) -> None:
     """Validate a scan of 1 ≤ n ≤ x (σ mod q, if any).
 
-    Refuses x < 1 and q < 1, then the ranges that check_scan_range
-    refuses, then workers < 1, all with OutOfRangeError; it builds
-    nothing, so a scan prices its tables and its primes ≤ √x after it.
+    Refuses x < 1 and q < 1, then x > MAX_SCAN_X and q > MAX_SCAN_Q,
+    then workers < 1, all with OutOfRangeError; it builds nothing, so a
+    scan prices its tables and its primes ≤ √x after it.
     """
     if x < 1:
         raise OutOfRangeError(f"x must be >= 1, got {x}")
     if q < 1:
         raise OutOfRangeError(f"modulus must be >= 1, got {q}")
-    check_scan_range(x, q)
+    if x > MAX_SCAN_X:
+        raise OutOfRangeError(f"x = {x} exceeds {MAX_SCAN_X}: n + 1 must fit in int64")
+    if q > MAX_SCAN_Q:
+        raise OutOfRangeError(f"q = {q} exceeds {MAX_SCAN_Q}: q^2 must fit in int64")
     if workers < 1:
         raise OutOfRangeError(f"workers must be at least 1, got {workers}")
 

@@ -21,8 +21,8 @@ are done, and in phase 2 they still hold G.  So the batch gathers all its
 (row, prime) pairs at once, at most about |V|/2 at a time, sums them per row
 and adds the terms of f(p) at row p and of f(p²) as prefix sums over the primes.
 A prime window (lo, hi] keeps only n with every prime factor in it: G(v) counts
-the primes in (lo, min(v, hi)], from Lucy's table at both ends (a table of their
-own for ends that are no rows of V), and phase 2 skips the primes outside.
+the primes in (lo, min(v, hi)], from Lucy's table at both ends (one table of its
+own for each distinct end that is no row of V), and phase 2 skips the primes outside.
 Deléglise–Rivat (Math. Comp. 1996) and Kim Walisch's primecount scale it up.
 """
 
@@ -32,9 +32,8 @@ import math
 
 import numpy as np
 
-from ._scan import prime_table_bytes, primes_up_to
+from ._scan import check_budget, prime_table_bytes, primes_up_to
 from .characters import shared_modulus
-from .errors import ResourceBudgetError
 
 # Work is x^(3/4)/ln x times φ(q)·(1 + (k + 1)·α(q)): phase 2 gathers only for the
 # share α(q) of primes with σ(p) a unit.  The sieve's is x.  The break-even ratio
@@ -206,8 +205,10 @@ def class_totals(x: int, m, primes: np.ndarray, grades: int = 1, threshold: int 
     V, S = _prime_counts(x, m, primes, pos)
     K = V.shape[0]  # the row of v ≤ √x is K − v
     cuts = (hi, lo, min(max(lo, threshold), hi))
+    distinct = sorted(set(cuts))
     ends = np.array([S[_at(x, w)] if w < x // r or x // (x // w) == w
-                     else _prime_counts(w, m, primes, pos)[1][0] for w in cuts])
+                     else _prime_counts(w, m, primes, pos)[1][0] for w in distinct])
+    ends = ends[np.searchsorted(distinct, cuts)]
     np.minimum(S, ends[0], out=S)
     T = np.zeros((V.shape[0], grades * phi), dtype=np.int64)
     prev = pos[(units - 1) % q]  # σ(p) = p + 1 moves class p − 1 to p
@@ -274,9 +275,6 @@ def class_totals(x: int, m, primes: np.ndarray, grades: int = 1, threshold: int 
 def omega_tails(x: int, lo: int, hi: int, grades: int, budget: int) -> np.ndarray:
     """#{n ≤ x : every prime factor of n in (lo, hi], Ω(n) ≥ h} for h < grades:
     class_totals at q = 1, graded above lo, once its tables fit budget bytes."""
-    need = table_bytes(x, 1, grades)
-    if need > budget:
-        raise ResourceBudgetError(f"prime-window tables for x = {x} need {need} bytes, "
-                                  f"budget is {budget} bytes")
+    check_budget(table_bytes(x, 1, grades), budget, f"prime-window tables for x = {x}")
     primes = primes_up_to(math.isqrt(x))
     return class_totals(x, shared_modulus(1), primes, grades, lo, lo=lo, hi=hi)[:, 0]

@@ -50,14 +50,12 @@ from typing import Iterator, Optional
 import numpy as np
 
 from . import _sublinear
-from ._scan import (DEFAULT_SEGMENT_LENGTH, check_scan_range, kernel_bytes, map_segments,
-                    plan, prime_table_bytes, primes_up_to, release_scratch, scan_segment,
-                    segment_bounds)
+from ._scan import (DEFAULT_MEMORY_BUDGET, DEFAULT_SEGMENT_LENGTH, check_budget,
+                    kernel_bytes, map_segments, plan, prime_table_bytes, primes_up_to,
+                    release_scratch, scan_segment, segment_bounds)
 from .characters import DirichletCharacter, Modulus
 from .charsums import PolynomialSpec
-from .errors import (DegenerateCensusError, OutOfRangeError, ResourceBudgetError,
-                     UnsupportedModulusError)
-from .factor import DEFAULT_MEMORY_BUDGET
+from .errors import DegenerateCensusError, OutOfRangeError, UnsupportedModulusError
 
 __all__ = [
     "CensusFilter",
@@ -283,50 +281,33 @@ def _coprime_mask(lo: int, hi: int, m: Modulus) -> np.ndarray:
     return keep
 
 
-def _plan_census(x: int, m: Modulus, f: CensusFilter, workers: int,
-                 budget: int = DEFAULT_MEMORY_BUDGET) -> bool:
-    """Whether the census takes the sublinear engine, after the sieve's input
-    checks and before anything is built.  _sublinear.preferred picks it (about
-    three 2√x × φ(q)·(k + 1) int64 tables, no segments or workers) when
-    x ≥ 2¹⁶, φ(q)·(1 + (k + 1)·α(q)) is small against x^(1/4)·ln x and the
-    tables fit budget bytes, else the sieve, else ResourceBudgetError: 8·q
-    bytes of totals, the primes ≤ √x, and per worker the kernel's arrays, a
-    filtered σ and its mask, a bincount if a segment can admit q integers
-    and 128 KiB of ufunc buffers."""
-    plan(x, m.q, workers)
-    if _sublinear.preferred(x, m, *_grading(f), budget):
-        return True
-    seg = min(DEFAULT_SEGMENT_LENGTH, x)
-    per_int = kernel_bytes(x + 1, f.kind == "pk-threshold") + 9 * (f.kind != "all")
-    need = (8 * m.q + workers * (8 * m.q * (seg >= m.q) + per_int * seg + (1 << 17))
-            + prime_table_bytes(math.isqrt(x)))
-    if need > budget:
-        raise ResourceBudgetError(f"census sieve needs about {need} bytes, "
-                                  f"budget is {budget} bytes")
-    return False
-
-
 def _grading(f: CensusFilter) -> tuple[int, int]:
     """The engine's grades and threshold: k + 1 and t under pk-threshold."""
     return (f.k + 1, f.threshold) if f.kind == "pk-threshold" else (1, 0)
 
 
-def _class_totals(
-    x: int,
-    m: Modulus,
-    f: CensusFilter,
-    workers: int,
-    budget: int = DEFAULT_MEMORY_BUDGET,
-) -> np.ndarray:
+def _class_totals(x: int, m: Modulus, f: CensusFilter, workers: int,
+                  budget: int = DEFAULT_MEMORY_BUDGET) -> np.ndarray:
     """int64 array over 0..q−1 of #{filtered n ≤ x : σ(n) ≡ a}, zero at non-
-    units a, from the engine _plan_census picks; the primes ≤ √x are built
-    after its price check."""
-    sublinear = _plan_census(x, m, f, workers, budget)
-    primes = primes_up_to(math.isqrt(x))
-    if sublinear:
-        return _sublinear.class_totals(x, m, primes, *_grading(f),
-                                       f.kind == "coprime-only")[-1]
-    return _sieve_totals(x, m, f, primes, workers)
+    units a, after the sieve's input checks and a price check of the engine's
+    arrays, and only then the primes ≤ √x.  _sublinear.preferred picks the
+    sublinear engine (about three 2√x × φ(q)·(k + 1) int64 tables, no
+    segments or workers) when x ≥ 2¹⁶, φ(q)·(1 + (k + 1)·α(q)) is small
+    against x^(1/4)·ln x and the tables fit budget bytes.  Else the sieve
+    runs once its price fits: 8·q bytes of totals, the primes ≤ √x, and per
+    worker the kernel's arrays, a filtered σ and its mask, a bincount if a
+    segment can admit q integers and 128 KiB of ufunc buffers."""
+    plan(x, m.q, workers)
+    grades, threshold = _grading(f)
+    if _sublinear.preferred(x, m, grades, threshold, budget):
+        return _sublinear.class_totals(x, m, primes_up_to(math.isqrt(x)), grades,
+                                       threshold, f.kind == "coprime-only")[-1]
+    seg = min(DEFAULT_SEGMENT_LENGTH, x)
+    per_int = kernel_bytes(x + 1, f.kind == "pk-threshold") + 9 * (f.kind != "all")
+    need = (8 * m.q + workers * (8 * m.q * (seg >= m.q) + per_int * seg + (1 << 17))
+            + prime_table_bytes(math.isqrt(x)))
+    check_budget(need, budget, "census sieve")
+    return _sieve_totals(x, m, f, primes_up_to(math.isqrt(x)), workers)
 
 
 def _sieve_totals(x: int, m: Modulus, f: CensusFilter, primes: np.ndarray,
@@ -473,13 +454,10 @@ def prime_reciprocal_sum(
     x = int(x)
     if x < 2:
         raise OutOfRangeError(f"x must be >= 2, got {x}")
-    check_scan_range(x)
+    plan(x)
     table = prime_table_bytes(x)  # (x + 1)//2 sieve bytes, then 8 per prime
-    need = table + 5 * min(8 * _PRIME_CHUNK, table - (x + 1) // 2)
-    if need > memory_budget:
-        raise ResourceBudgetError(
-            f"prime table for x = {x} needs about {need} bytes, "
-            f"budget is {memory_budget} bytes")
+    check_budget(table + 5 * min(8 * _PRIME_CHUNK, table - (x + 1) // 2), memory_budget,
+                 f"prime table for x = {x}")
     primes = primes_up_to(x)
     q = m.q
     total = 0.0

@@ -351,9 +351,9 @@ class Modulus:
         return DirichletCharacter(self, (0,) * len(self.basis.generators))
 
 
-def build_modulus(q: int, modulus_cap: int = MAX_MODULUS) -> Modulus:
+def build_modulus(q: int) -> Modulus:
     """Construct the arithmetic environment mod q."""
-    return Modulus(q, modulus_cap=modulus_cap)
+    return Modulus(q)
 
 
 @lru_cache(maxsize=512)

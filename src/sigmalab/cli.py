@@ -14,7 +14,9 @@ violation (weil-check, verify-s-set, witness mismatch), 2 bad usage or
 an argument out of range (one line on stderr), 3 a resource budget was
 exceeded.  The memory budget defaults to 2·10⁹ bytes and can be
 overridden by --memory-budget or the SIGMALAB_MEMORY_BUDGET environment
-variable (flag wins).
+variable (flag wins) on the subcommands that read it: all but weil-check,
+g-one, lift-count and curve-count.  The last three check their tables
+against the fixed default.
 """
 
 from __future__ import annotations
@@ -31,8 +33,10 @@ from typing import Any, Iterable, Optional, Sequence
 import numpy as np
 
 from . import __version__
+from ._scan import DEFAULT_MEMORY_BUDGET
 from .census import (
     CensusFilter,
+    ClassCounts,
     census,
     prime_reciprocal_sum,
     twisted_partial_sum,
@@ -47,7 +51,6 @@ from .charsums import (
     weil_clz_check,
 )
 from .errors import OutOfRangeError, ResourceBudgetError, UnsupportedModulusError
-from .factor import DEFAULT_MEMORY_BUDGET
 from .lsd import convergence_scan, g_one_euler_product
 from .varieties import (
     _lift_target,
@@ -149,46 +152,36 @@ def _config_echo(args: argparse.Namespace) -> dict[str, Any]:
     return echo
 
 
-class _IntMap:
-    """A payload mapping {str(k): v} held as two int64 arrays.
+# One line of a ClassCounts payload value in JSON, and the lines per write.
+_COUNTS_LINE = '    "%d": %d'
+_COUNTS_CHUNK = 1 << 14
 
-    The JSON writer lays it out itself, chunk by chunk, exactly as
+
+def _write_counts(stream, counts: ClassCounts) -> None:
+    """Write a ClassCounts payload value chunk by chunk, exactly as
     json.dumps(sort_keys=True, indent=2) would at the top level of the
     document, so a map over millions of classes never becomes a dict.
-    """
 
-    LINE = '    "%d": %d'
-    CHUNK = 1 << 14
-
-    def __init__(self, keys: np.ndarray, values: np.ndarray) -> None:
-        self.keys = keys
-        self.values = values
-
-    def _string_order(self) -> np.ndarray:
-        """Indices sorting the keys (residues, 0 <= k < 10^18) as their
-        decimal strings sort: by the digits padded on the right to a
-        common width, then by length, so "1" < "10" < "100" < "11" < "2".
-        Ten times faster than sorting keys.astype(str)."""
-        keys = self.keys
-        digits = np.ones(keys.shape, np.int64)
-        for power in range(1, 18):
-            digits += keys >= 10**power
-        padded = keys * 10 ** (int(digits.max()) - digits)
-        return np.lexsort((digits, padded))
-
-    def write_json(self, stream) -> None:
-        if self.keys.size == 0:
-            stream.write("{}")
-            return
-        order = self._string_order()
-        stream.write("{\n")
-        for start in range(0, order.shape[0], self.CHUNK):
-            idx = order[start : start + self.CHUNK]
-            pairs = np.stack((self.keys[idx], self.values[idx]), axis=1).ravel()
-            if start:
-                stream.write(",\n")
-            stream.write(",\n".join([self.LINE] * idx.shape[0]) % tuple(pairs.tolist()))
-        stream.write("\n  }")
+    The keys (residues, 0 <= k < 10^18) go in the order of their decimal
+    strings: by the digits padded on the right to a common width, then by
+    length, so "1" < "10" < "100" < "11" < "2".  Ten times faster than
+    sorting keys.astype(str)."""
+    keys, values = counts.key_array, counts.value_array
+    if keys.size == 0:
+        stream.write("{}")
+        return
+    digits = np.ones(keys.shape, np.int64)
+    for power in range(1, 18):
+        digits += keys >= 10**power
+    order = np.lexsort((digits, keys * 10 ** (int(digits.max()) - digits)))
+    stream.write("{\n")
+    for start in range(0, order.shape[0], _COUNTS_CHUNK):
+        idx = order[start : start + _COUNTS_CHUNK]
+        pairs = np.stack((keys[idx], values[idx]), axis=1).ravel()
+        if start:
+            stream.write(",\n")
+        stream.write(",\n".join([_COUNTS_LINE] * idx.shape[0]) % tuple(pairs.tolist()))
+    stream.write("\n  }")
 
 
 # A CSV cell read from a complex value names the part it wants.
@@ -222,7 +215,7 @@ def _emit(args: argparse.Namespace, payload: dict[str, Any], columns: Sequence[s
     Each column spec is "name" or "name=dotted.path" and reads one cell
     of every row record; the records are the payload itself unless rows
     are given.  Rows given as cells are already one plain cell per
-    column and are written as they are.  Top-level _IntMap payload
+    column and are written as they are.  Top-level ClassCounts payload
     values appear in JSON only.
     """
     config = _config_echo(args)
@@ -232,7 +225,7 @@ def _emit(args: argparse.Namespace, payload: dict[str, Any], columns: Sequence[s
         if args.format == "json":
             doc = {"tool": "sigmalab", "version": __version__, "command": args.command,
                    "config": _json_safe(config)}
-            maps = {k: v for k, v in payload.items() if isinstance(v, _IntMap)}
+            maps = {k: v for k, v in payload.items() if isinstance(v, ClassCounts)}
             doc.update(_json_safe({k: v for k, v in payload.items() if k not in maps}))
             # A NUL-led string marks each map's place; no flag value can
             # hold a NUL character.
@@ -241,7 +234,7 @@ def _emit(args: argparse.Namespace, payload: dict[str, Any], columns: Sequence[s
             for key in sorted(maps):
                 head, text = text.split(json.dumps("\0" + key), 1)
                 stream.write(head)
-                maps[key].write_json(stream)
+                _write_counts(stream, maps[key])
             stream.write(text + "\n")
         else:
             cfg = " ".join(f"{k}={v}" for k, v in sorted(config.items()))
@@ -265,17 +258,21 @@ def _add_common(parser: argparse.ArgumentParser, parallel: bool = False) -> None
                         help="output format (default json)")
     parser.add_argument("--output", metavar="PATH",
                         help="write to a file instead of stdout")
-    parser.add_argument("--memory-budget", type=_parse_int, default=None,
-                        metavar="BYTES",
-                        help="cap on internal table allocations "
-                             f"(default {DEFAULT_MEMORY_BUDGET}, env {ENV_MEMORY_BUDGET})")
     if parallel:
         parser.add_argument("--workers", type=_parse_int, default=1,
                             help="parallel segment workers (same output for any value)")
 
 
+def _add_budget(parser: argparse.ArgumentParser) -> None:
+    """--memory-budget, on the subcommands whose tables _budget prices."""
+    parser.add_argument("--memory-budget", type=_parse_int, default=None,
+                        metavar="BYTES",
+                        help="cap on internal table allocations "
+                             f"(default {DEFAULT_MEMORY_BUDGET}, env {ENV_MEMORY_BUDGET})")
+
+
 def _budget(args: argparse.Namespace) -> int:
-    if getattr(args, "memory_budget", None) is not None:
+    if args.memory_budget is not None:
         return args.memory_budget
     env = os.environ.get(ENV_MEMORY_BUDGET)
     if env:
@@ -330,7 +327,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
         "x": report.x,
         "q": report.q,
         "filter": vars(f),
-        "counts": _IntMap(report.counts.key_array, report.counts.value_array),
+        "counts": report.counts,
         "total": total,
         "mean": report.mean if total > 0 else None,
         "discrepancy": report.max_rel_deviation if total > 0 else None,
@@ -551,6 +548,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=_parse_int, required=True)
     _add_filter(p)
     _add_common(p, parallel=True)
+    _add_budget(p)
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("twisted-sum", help="sum of chi(sigma(n)) for one character",
@@ -563,6 +561,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="character index in enumeration order (0 = principal)")
     _add_filter(p)
     _add_common(p, parallel=True)
+    _add_budget(p)
     p.set_defaults(func=_cmd_twisted_sum)
 
     p = sub.add_parser("rho-table", help="mean of chi(v+1) for every chi mod q",
@@ -570,6 +569,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                    "units v mod q for every character chi.")
     p.add_argument("--q", type=_parse_int, required=True)
     _add_common(p)
+    _add_budget(p)
     p.set_defaults(func=_cmd_character_table)
 
     p = sub.add_parser("eta-table", help="mean of chi(v^2+v+1) for every chi mod q",
@@ -577,6 +577,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                    "units v mod q for every character chi.")
     p.add_argument("--q", type=_parse_int, required=True)
     _add_common(p)
+    _add_budget(p)
     p.set_defaults(func=_cmd_character_table)
 
     p = sub.add_parser("verify-s-set",
@@ -588,6 +589,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=_parse_int, default=None,
                    help="restrict to conductors dividing q")
     _add_common(p)
+    _add_budget(p)
     p.set_defaults(func=_cmd_verify_s_set)
 
     p = sub.add_parser("weil-check",
@@ -610,6 +612,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-grid", dest="x_grid", type=_parse_int_list, required=True,
                    metavar="X1,X2,...")
     _add_common(p)
+    _add_budget(p)
     p.set_defaults(func=_cmd_lsd_scan)
 
     p = sub.add_parser("g-one", help="the G(1) Euler product",
@@ -631,6 +634,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", type=_parse_int, required=True)
     p.add_argument("--arity", type=_parse_int, choices=(2, 3), default=3)
     _add_common(p)
+    _add_budget(p)
     p.set_defaults(func=_cmd_v_count)
 
     p = sub.add_parser("lift-count",
@@ -662,6 +666,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Y", dest="y", type=_parse_int, required=True)
     p.add_argument("--x", type=_parse_int, required=True)
     _add_common(p, parallel=True)
+    _add_budget(p)
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("witness-sqfree",
@@ -672,6 +677,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Y", dest="y", type=_parse_int, required=True)
     p.add_argument("--x", type=_parse_int, required=True)
     _add_common(p, parallel=True)
+    _add_budget(p)
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("prime-recip",
@@ -686,6 +692,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="polynomial coefficients, constant term first "
                         "(default 1,1 = T+1)")
     _add_common(p)
+    _add_budget(p)
     p.set_defaults(func=_cmd_prime_recip)
 
     return parser

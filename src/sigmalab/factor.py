@@ -20,10 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _sublinear
-from ._scan import DEFAULT_SEGMENT_LENGTH, plan, primes_up_to, segment_bounds
+from ._scan import (DEFAULT_MEMORY_BUDGET, DEFAULT_SEGMENT_LENGTH, check_budget, plan,
+                    primes_up_to, segment_bounds)
 from .errors import OutOfRangeError, ResourceBudgetError
-
-DEFAULT_MEMORY_BUDGET = 2_000_000_000  # bytes allowed for one spf table
 
 
 @dataclass(frozen=True)
@@ -144,11 +143,7 @@ class FactorSieve:
     def __init__(self, limit: int, *, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> None:
         if limit < 2:
             raise ValueError("limit must be >= 2")
-        need = 4 * (limit + 1)
-        if need > memory_budget:
-            raise ResourceBudgetError(
-                f"spf table for limit {limit} needs {need} bytes, "
-                f"budget is {memory_budget} bytes")
+        check_budget(4 * (limit + 1), memory_budget, f"spf table for limit {limit}")
         if limit >= 2**32:
             raise ResourceBudgetError("spf entries are uint32; limit must be < 2^32")
         self.limit = int(limit)

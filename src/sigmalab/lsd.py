@@ -37,9 +37,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _sublinear
-from ._scan import plan, primes_up_to
+from ._scan import DEFAULT_MEMORY_BUDGET, check_budget, plan, prime_table_bytes, primes_up_to
 from .errors import GammaPoleError, OutOfRangeError
-from .factor import DEFAULT_MEMORY_BUDGET
 
 __all__ = [
     "EULER_GAMMA",
@@ -305,6 +304,12 @@ def g_one_euler_product(
     At β = 1 every factor beyond y is identically 1 and the truncation
     is skipped, making the result exact in that case; at β = 0 the
     product is exactly 1.
+
+    The primes ≤ p_max take prime_table_bytes(p_max), the sieve and 8
+    bytes per int64 prime.  Later the float64 primes, those above y and
+    two complex temporaries hold 48 bytes per prime, 40 more than the
+    int64 primes.  With 128 KiB of ufunc buffers, the sum is checked
+    against DEFAULT_MEMORY_BUDGET before any of them is allocated.
     """
     y = float(y)
     beta = complex(beta)
@@ -313,6 +318,9 @@ def g_one_euler_product(
         raise OutOfRangeError(f"cut must satisfy y >= 2, got {y}")
     if p_max < y:
         raise OutOfRangeError(f"truncation p_max = {p_max} must reach the cut y = {y}")
+    table = prime_table_bytes(p_max)  # (p_max + 1)//2 sieve bytes, then 8 per prime
+    check_budget(table + 5 * (table - (p_max + 1) // 2) + (1 << 17), DEFAULT_MEMORY_BUDGET,
+                 f"prime table for p_max = {p_max}")
     primes = primes_up_to(p_max).astype(np.float64)
     head = primes[primes <= y]
     log_total = beta * float(np.sum(np.log1p(-1.0 / head)))

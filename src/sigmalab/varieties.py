@@ -31,12 +31,12 @@ from typing import Optional
 
 import numpy as np
 
-from ._scan import plan, primes_up_to
+from ._scan import DEFAULT_MEMORY_BUDGET, check_budget, plan, primes_up_to
 from .characters import (Modulus, _crt_pair, _power_table, _primitive_root_prime_power,
                          _require_prime, build_modulus)
-from .census import CensusFilter, _plan_census, census
+from .census import CensusFilter, CensusReport, census
 from .errors import OutOfRangeError, ResourceBudgetError
-from .factor import DEFAULT_MEMORY_BUDGET, Factorization, sigma_mod
+from .factor import Factorization, sigma_mod
 
 __all__ = [
     "SolutionCount",
@@ -182,8 +182,14 @@ def lift_count_mod_ell_squared(ell: int) -> int:
     directly from the value distribution, paired along the powers of a
     generator of U_{ℓ²}, a different route from v_count's convolution,
     so the two serve as mutual oracles.
+
+    At most six arrays over the ℓ² residues are alive at once, five
+    int64 and a bool mask, so 41·ℓ² bytes and the ufunc buffers are
+    checked against DEFAULT_MEMORY_BUDGET before any is allocated.
     """
     ell = _require_prime(ell, floor=5)
+    check_budget(41 * ell * ell + (1 << 17), DEFAULT_MEMORY_BUDGET,
+                 f"value tables mod {ell}^2")
     dist = _block_value_distribution(ell * ell, ell)[0]
     return _product_pairs(dist, ell, 2, _lift_target(ell))
 
@@ -196,10 +202,14 @@ def curve_point_count(ell: int, which: str = "completed-square", w: int = 1) -> 
     the value histograms of the two factors: for a nonzero target the
     pairs are Σ_{s≠0} h[s]·h[target/s], paired along the powers of a
     generator of 𝔽_ℓ^×, and for target ≡ 0 they are h[0]·(2ℓ − h[0]).
+    At most seven int64 arrays over 𝔽_ℓ are alive at once, so 56·ℓ bytes
+    and the ufunc buffers are checked against DEFAULT_MEMORY_BUDGET before
+    any is allocated.
     """
     ell = _require_prime(ell, floor=2)
     if which not in ("completed-square", "sigma-product"):
         raise ValueError(f"which must be 'completed-square' or 'sigma-product', got {which!r}")
+    check_budget(56 * ell + (1 << 17), DEFAULT_MEMORY_BUDGET, f"value tables over F_{ell}")
     x = np.arange(ell, dtype=np.int64)
     if which == "completed-square":
         values = (x * x + 3) % ell
@@ -253,11 +263,12 @@ _WITNESS_CENSUS = {"even": (2, 4, "four", "the witness class"),
                    "squarefree": (1, 2, "two", "class 3")}
 
 
-def _witness_modulus(kind: str, y: int, x: int, workers: int,
-                     memory_budget: int) -> tuple[list[int], Modulus]:
-    """The primes 5 ≤ ℓ ≤ y and q = 2·∏ ℓ^power of a witness scan of n ≤ x,
-    after the checks of x; q must fit 64 bits, and its census is priced
-    here, before the witness walks its primes."""
+def _witness_census(kind: str, y: int, x: int, workers: int,
+                    memory_budget: int) -> tuple[list[int], CensusReport]:
+    """The primes 5 ≤ ℓ ≤ y and, for q = 2·∏ ℓ^power, the census of n ≤ x
+    under P_k(n) > q, after the checks of x; q must fit 64 bits.  The census
+    prices itself before it builds anything, so an over-budget witness
+    refuses before it walks its primes."""
     power, k = _WITNESS_CENSUS[kind][:2]
     if x < 4:
         raise OutOfRangeError(f"x must be >= 4, got {x}")
@@ -270,39 +281,33 @@ def _witness_modulus(kind: str, y: int, x: int, workers: int,
         q *= ell**power
         if q >= 1 << 63:
             raise ResourceBudgetError(f"witness modulus for y = {y} exceeds 64 bits")
-    m = build_modulus(q)
-    _plan_census(x, m, CensusFilter.pk_threshold(k, q), workers, memory_budget)
-    return ells, m
+    return ells, census(x, build_modulus(q), CensusFilter.pk_threshold(k, q),
+                        workers=workers, memory_budget=memory_budget)
 
 
-def _witness_report(kind: str, m: Modulus, y: int, x: int, klass: int, crt_count: int,
-                    direct_count: int, num_prime_classes: Optional[int], workers: int,
-                    memory_budget: int) -> OverrepWitnessReport:
+def _witness_report(kind: str, report: CensusReport, y: int, klass: int, crt_count: int,
+                    direct_count: int, num_prime_classes: Optional[int]) -> OverrepWitnessReport:
     """The report of one witness construction: its counts, and the
-    witness class against the mean of the census under P_k(n) > q."""
-    q = m.q
+    witness class against the mean of its census under P_k(n) > q."""
     _, k, k_words, class_name = _WITNESS_CENSUS[kind]
-    report = census(x, m, CensusFilter.pk_threshold(k, q),
-                    workers=workers, memory_budget=memory_budget)
     class_count = report.counts.get(klass, 0)
     total = report.total_coprime
-    phi = len(report.counts)
     if total > 0:
-        mean = total / phi
-        ratio: Optional[float] = class_count * phi / total
+        mean = report.mean
+        ratio: Optional[float] = class_count * len(report.counts) / total
         note = f"filtered census is nonempty; ratio compares {class_name} to the mean"
     else:
         mean = None
         ratio = None
         note = (
-            f"no n <= {x} has {k_words} prime factors above q = {q}; the census "
-            "comparison only becomes meaningful for far larger x"
+            f"no n <= {report.x} has {k_words} prime factors above q = {report.q}; "
+            "the census comparison only becomes meaningful for far larger x"
         )
     return OverrepWitnessReport(
         kind=kind,
-        q=q,
+        q=report.q,
         y_cut=y,
-        x=x,
+        x=report.x,
         witness_class=klass,
         crt_count=crt_count,
         direct_count=direct_count,
@@ -335,8 +340,8 @@ def overrep_witness_even(
     """
     x = int(x)
     y = int(y)
-    ells, m = _witness_modulus("even", y, x, workers, memory_budget)
-    q = m.q
+    ells, report = _witness_census("even", y, x, workers, memory_budget)
+    q = report.q
     targets = {ell: _lift_target(ell) for ell in ells}
     w_q = 1  # the mod-2 component
     mod_so_far = 2
@@ -373,8 +378,7 @@ def overrep_witness_even(
             if sigma_mod(fact, q) == w_q % q:
                 direct_count += 1
 
-    return _witness_report("even", m, y, x, w_q % q, crt_count, direct_count, None,
-                           workers, memory_budget)
+    return _witness_report("even", report, y, w_q % q, crt_count, direct_count, None)
 
 
 def overrep_witness_sqfree(
@@ -397,8 +401,8 @@ def overrep_witness_sqfree(
     """
     x = int(x)
     y = int(y)
-    ells, m = _witness_modulus("squarefree", y, x, workers, memory_budget)
-    q = m.q
+    ells, report = _witness_census("squarefree", y, x, workers, memory_budget)
+    q = report.q
 
     crt_count = 0
     direct_count = 0
@@ -411,5 +415,5 @@ def overrep_witness_sqfree(
         if sigma_mod(Factorization(((p, 2),)), q) == 3 % q:
             direct_count += 1
 
-    return _witness_report("squarefree", m, y, x, 3 % q, crt_count, direct_count,
-                           2 ** len(ells), workers, memory_budget)
+    return _witness_report("squarefree", report, y, 3 % q, crt_count, direct_count,
+                           2 ** len(ells))

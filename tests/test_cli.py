@@ -10,6 +10,7 @@ import dataclasses
 import inspect
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,10 +190,30 @@ def test_budget_reaches_the_scans(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv", [["lift-count", "--ell", "1000003"],
+                                  ["curve-count", "--ell", "10000000019"],
+                                  ["g-one", "--Y", "7", "--beta", "0.5", "--p-max", "1e11"]])
+def test_fixed_budget_commands_refuse_before_allocating(tmp_path, capsys, argv):
+    """Tables sized from the input are priced against the default budget
+    first: exit 3 with one stderr line, and almost nothing is traced."""
+    tracemalloc.start()
+    try:
+        code = cli.main(argv + ["--output", str(tmp_path / "x.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and peak < 10**6, (code, peak)
+    err = capsys.readouterr().err
+    assert err.startswith("sigmalab: resource budget exceeded:") and err.count("\n") == 1
+
+
 def test_help_everywhere(capsys):
     """Every subcommand documents --format; only the four that may run the
-    segment sieve take --workers, and none takes --segment-length."""
+    segment sieve take --workers, only those that read it take
+    --memory-budget, and none takes --segment-length."""
     sieve_scans = {"census", "twisted-sum", "witness-even", "witness-sqfree"}
+    budgeted = sieve_scans | {"rho-table", "eta-table", "verify-s-set", "lsd-scan",
+                              "v-count", "prime-recip"}
     for sub in ("census", "twisted-sum", "rho-table", "eta-table",
                 "verify-s-set", "weil-check", "lsd-scan", "g-one", "v-count",
                 "lift-count", "curve-count", "witness-even", "witness-sqfree",
@@ -203,6 +224,7 @@ def test_help_everywhere(capsys):
         text = capsys.readouterr().out
         assert "--format" in text
         assert ("--workers" in text) == (sub in sieve_scans), sub
+        assert ("--memory-budget" in text) == (sub in budgeted), sub
         assert "--segment-length" not in text, sub
 
 
@@ -306,13 +328,13 @@ def test_census_json_is_json_dumps_of_plain_dict(tmp_path, x, q, k, threshold):
 
 
 def test_output_splices_int_map(tmp_path):
-    """An _IntMap among other payload keys, empty or not, gives the bytes of
+    """ClassCounts among other payload keys, empty or not, gives the bytes of
     json.dumps over the equivalent dict."""
     args = argparse.Namespace(format="json", output=str(tmp_path / "m.json"),
                               command="test")
-    keys = np.array([7, 10, 2, 100], np.int64)
+    keys = np.array([2, 7, 10, 100], np.int64)
     for n in (0, 4):
-        cli._emit(args, {"a": 1, "counts": cli._IntMap(keys[:n], keys[:n] * 3),
+        cli._emit(args, {"a": 1, "counts": sigmalab.ClassCounts(keys[:n], keys[:n] * 3),
                          "z": None}, [], "")
         want = {"tool": "sigmalab", "version": sigmalab.__version__,
                 "command": "test", "config": {"format": "json"}, "a": 1,
@@ -326,8 +348,9 @@ def test_output_splices_int_map(tmp_path):
 def test_int_map_matches_json_dumps(mapping):
     """Keys of every digit count lay out in json.dumps's string order."""
     buf = io.StringIO()
-    cli._IntMap(np.array(list(mapping), np.int64),
-                np.array(list(mapping.values()), np.int64)).write_json(buf)
+    keys = sorted(mapping)
+    cli._write_counts(buf, sigmalab.ClassCounts(np.array(keys, np.int64),
+                                                np.array([mapping[k] for k in keys], np.int64)))
     want = json.dumps({"m": {str(k): v for k, v in mapping.items()}},
                       sort_keys=True, indent=2)
     assert "{\n  \"m\": " + buf.getvalue() + "\n}" == want

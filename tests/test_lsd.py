@@ -7,6 +7,7 @@ division; every closed-form example is evaluated from scratch here.
 
 import cmath
 import math
+import tracemalloc
 
 import mpmath
 import pytest
@@ -25,6 +26,8 @@ from sigmalab import (
     rough_count,
     rough_omega_histogram,
 )
+from sigmalab import lsd
+from sigmalab._scan import check_budget
 
 mpmath.mp.dps = 35
 
@@ -218,6 +221,21 @@ def test_g_one_truncation_stability():
     b = g_one_euler_product(100.0, 0.5, 10**7)
     assert abs(a.value - b.value) < 1e-8
     assert a.tail_estimate > abs(a.value - b.value) / 50
+
+
+def test_g_one_peak_within_price(monkeypatch):
+    """The traced peak of the Euler product stays within the bytes it
+    checks against the budget before building its primes."""
+    prices = []
+    monkeypatch.setattr(lsd, "check_budget",
+                        lambda need, *rest: prices.append(need) or check_budget(need, *rest))
+    tracemalloc.start()
+    try:
+        g_one_euler_product(7.0, 0.3 + 0.4j, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(prices) == 1 and peak <= prices[0], (peak, prices)
 
 
 def test_g_one_tail_estimate_decreases():

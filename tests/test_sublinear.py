@@ -246,6 +246,18 @@ def test_cuts_between_sqrt_x_and_x_off_the_rows(brute, x, data):
     check_counts(brute, x, c, c)
 
 
+def test_window_end_off_the_rows_gets_one_lucy_table(monkeypatch):
+    """rough_count(1e7, 4999) cuts at 4999 both as the window's low end and
+    as the grading threshold; 4999 is no row of V, so it takes one Lucy
+    table of its own besides the one at x."""
+    calls = []
+    real = _sublinear._prime_counts
+    monkeypatch.setattr(_sublinear, "_prime_counts",
+                        lambda x, *rest: calls.append(x) or real(x, *rest))
+    rough_count(10**7, 4999)
+    assert calls == [10**7, 4999]
+
+
 @pytest.mark.parametrize("x", [1, 2, 97, 30_000])
 def test_cuts_at_and_beyond_x(brute, x):
     for c in (x, x + 0.5, 10.0 * x + 2, math.inf):

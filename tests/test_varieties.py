@@ -24,7 +24,8 @@ from sigmalab import (
     quadratic_root_count,
     v_count,
 )
-from sigmalab._scan import primes_up_to
+from sigmalab import _sublinear, varieties
+from sigmalab._scan import check_budget, primes_up_to
 
 
 def brute_v_count(q: int, w: int, arity: int) -> int:
@@ -218,6 +219,23 @@ def test_lift_count_validation():
         lift_count_mod_ell_squared(15)
 
 
+@pytest.mark.parametrize("count, args", [(lift_count_mod_ell_squared, (1009,)),
+                                         (curve_point_count, (100_003, "sigma-product", 2))])
+def test_point_count_peak_within_price(monkeypatch, count, args):
+    """The traced peak of a lift or curve count stays within the bytes it
+    checks against the budget before allocating."""
+    prices = []
+    monkeypatch.setattr(varieties, "check_budget",
+                        lambda need, *rest: prices.append(need) or check_budget(need, *rest))
+    tracemalloc.start()
+    try:
+        count(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(prices) == 1 and peak <= prices[0], (peak, prices)
+
+
 def brute_curve_count(ell: int, which: str, w: int) -> int:
     count = 0
     for xx in range(ell):
@@ -306,6 +324,17 @@ def test_witness_validation():
         overrep_witness_even(4, 10**6)
     with pytest.raises(ResourceBudgetError):
         overrep_witness_even(23, 10**6)
+
+
+@pytest.mark.parametrize("witness", [overrep_witness_sqfree, overrep_witness_even])
+def test_witness_prices_its_census_once(monkeypatch, witness):
+    """The witness runs its census, which prices itself, before it walks
+    its primes: one engine choice per call."""
+    calls = []
+    real = _sublinear.preferred
+    monkeypatch.setattr(_sublinear, "preferred", lambda *a: calls.append(a) or real(*a))
+    witness(7, 10**6)
+    assert len(calls) == 1
 
 
 def test_over_budget_witnesses_refuse_before_walking_primes():
