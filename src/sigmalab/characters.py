@@ -14,7 +14,10 @@ character value is an exact root of unity zeta_N^k (N = group exponent),
 materialized to complex only at the edge of a computation. Discrete-log
 tables per prime power make bulk evaluation a few numpy gathers, and sums
 over all phi(q) characters at once one FFT over the discrete-log
-coordinates of U_q (Modulus.character_transform).
+coordinates of U_q (Modulus.character_transform). Orders and conductors
+follow from the exponents alone, for any number of characters in one
+vectorised pass (character_invariants): Modulus.character_grid gives
+them for all phi(q) characters without building a character object.
 """
 
 from __future__ import annotations
@@ -110,7 +113,8 @@ def _power_table(g: int, order: int, mod: int) -> np.ndarray:
     for j in range(n_giant):
         giant[j] = w
         w = w * giant_step % mod
-    powers = (giant[:, None] * baby[None, :]) % mod
+    powers = giant[:, None] * baby[None, :]
+    powers %= mod
     return powers.reshape(-1)[:order]
 
 
@@ -173,6 +177,34 @@ def _build_basis(factorization: tuple[tuple[int, int], ...]) -> UnitGroupBasis:
             generators.append(Generator(ell, pp, g, order))
             dlogs.append(table)
     return UnitGroupBasis(generators, dlogs)
+
+
+def character_invariants(generators, exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orders and conductors of the n characters whose exponents against
+    the r generators are the columns of an (r, n) int array.
+
+    On generator g an exponent t has local order d = g.order / gcd(t, g.order).
+    The order is the lcm of the d over the generators. The conductor is
+    the lcm of the local conductors, 1 where d = 1 and otherwise:
+
+      * odd ell:            ell^(1 + v_ell(d)) = ell * gcd(d, ell^e);
+      * 4, and the sign -1 mod 2^e (e >= 3): 4, as d = 2;
+      * 5 mod 2^e (e >= 3): 4 * d, whatever the sign part.
+
+    Both come back as int64 arrays of length n.
+    """
+    exponents = np.asarray(exponents, dtype=np.int64)
+    order = np.ones(exponents.shape[1], dtype=np.int64)
+    conductor = np.ones(exponents.shape[1], dtype=np.int64)
+    for g, t in zip(generators, exponents):
+        d = g.order // np.gcd(t, g.order)
+        if g.prime != 2:
+            local = g.prime * np.gcd(d, g.prime_power)
+        else:
+            local = 4 * d if g.residue == 5 else 4
+        np.lcm(order, d, out=order)
+        np.lcm(conductor, np.where(d > 1, local, 1), out=conductor)
+    return order, conductor
 
 
 @dataclass(frozen=True)
@@ -326,6 +358,14 @@ class Modulus:
         shape = tuple(g.order for g in basis.generators) or (1,)
         return np.fft.ifftn(grid.reshape(shape)).reshape(-1) * self.phi
 
+    def character_grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(exponents, orders, conductors) of all phi(q) characters in
+        enumeration order: an (r, phi) exponent array, the last generator
+        varying fastest, and the character_invariants of its columns."""
+        shape = tuple(g.order for g in self.basis.generators)
+        exponents = np.indices(shape, dtype=np.int64).reshape(len(shape), self.phi)
+        return (exponents, *character_invariants(self.basis.generators, exponents))
+
     def characters(self):
         """All phi(q) characters, in a fixed deterministic order.
 
@@ -409,13 +449,16 @@ class DirichletCharacter:
             idx = idx * g.order + t
         return idx
 
+    def _invariants(self) -> None:
+        """Order and conductor, from character_invariants on this one column."""
+        column = np.array(self.exponents, dtype=np.int64).reshape(-1, 1)
+        order, conductor = character_invariants(self.modulus.basis.generators, column)
+        self._order, self._conductor = int(order[0]), int(conductor[0])
+
     @property
     def order(self) -> int:
         if self._order is None:
-            n = 1
-            for t, g in zip(self.exponents, self.modulus.basis.generators):
-                n = math.lcm(n, g.order // math.gcd(t, g.order))
-            self._order = n
+            self._invariants()
         return self._order
 
     def __call__(self, v: int) -> RootOfUnityValue:
@@ -461,13 +504,7 @@ class DirichletCharacter:
     def conductor(self) -> int:
         """Smallest f | q such that the character factors through U_f."""
         if self._conductor is None:
-            f = 1
-            m = self.modulus
-            pairs = list(zip(self.exponents, m.basis.generators))
-            for ell, e in m.factorization:
-                block = [(t, g) for t, g in pairs if g.prime == ell]
-                f *= _local_conductor(ell, e, block)
-            self._conductor = f
+            self._invariants()
         return self._conductor
 
     def component(self, ell: int) -> "DirichletCharacter":
@@ -494,25 +531,6 @@ class DirichletCharacter:
             assert not val.is_zero and gen.order % val.order == 0
             exps.append(val.numerator * (gen.order // val.order))
         return DirichletCharacter(mf, tuple(exps))
-
-
-def _local_conductor(ell: int, e: int, block: list[tuple[int, Generator]]) -> int:
-    if ell == 2:
-        if e == 1:
-            return 1
-        if e == 2:
-            (t, _), = block
-            return 4 if t else 1
-        (a, _), (b, gen_b) = block
-        if b:
-            d = gen_b.order // math.gcd(b, gen_b.order)  # order of the 5-part
-            return 4 * d
-        return 4 if a else 1
-    (t, gen), = block
-    d = gen.order // math.gcd(t, gen.order)
-    if d == 1:
-        return 1
-    return ell ** (1 + _valuation(d, ell))
 
 
 def enumerate_characters(m: Modulus) -> list[DirichletCharacter]:

@@ -285,7 +285,7 @@ def verify_s_set(m: Modulus | None = None) -> SSetReport:
     for Q in conductors:
         mq = shared_modulus(Q)
         sums = _unit_value_transform(mq, SIGMA_AT_PRIME_SQUARE)
-        primitive = np.array([chi.conductor == Q for chi in mq.characters()])
+        primitive = mq.character_grid()[2] == Q
         best = float(sums.real[primitive].max())
         denom = _exceptional_denominator(Q)
         scaled = 4.0 * best
@@ -431,11 +431,13 @@ class CharacterAverageRow:
 
 
 def _average_table(m: Modulus, F: PolynomialSpec) -> list[CharacterAverageRow]:
-    values = _unit_value_transform(m, F) / m.phi
-    return [CharacterAverageRow(
-        index=i, exponents=chi.exponents, order=chi.order,
-        conductor=chi.conductor, value=complex(values[i]))
-        for i, chi in enumerate(m.characters())]
+    """The rows, each field read from one array of Modulus.character_grid
+    or of the transform, so no character object is built."""
+    values = (_unit_value_transform(m, F) / m.phi).tolist()
+    exponents, orders, conductors = m.character_grid()
+    return [CharacterAverageRow(index=i, exponents=tuple(e), order=o, conductor=c, value=v)
+            for i, (e, o, c, v) in enumerate(zip(exponents.T.tolist(), orders.tolist(),
+                                                 conductors.tolist(), values))]
 
 
 def rho_table(m: Modulus) -> list[CharacterAverageRow]:

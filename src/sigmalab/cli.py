@@ -9,6 +9,13 @@ output.  --workers (at least 1), on the commands that may run the
 segment sieve, changes wall time only, never bytes.  Numeric flags
 accept scientific notation (--x 1e7).
 
+JSON output is json.dumps(sort_keys=True, indent=2) of the payload, but
+two kinds of payload value are written by templates at a placeholder
+instead, with the same bytes: census's ClassCounts, one line per class,
+and the rows of rho-table and eta-table, one %-template per row over the
+flat tuple of its fields, all read from arrays (Modulus.character_grid
+and the character transform) rather than from per-character objects.
+
 Exit codes: 0 success, 1 a verification-style subcommand found a
 violation (weil-check, verify-s-set, witness mismatch), 2 bad usage or
 an argument out of range (one line on stderr), 3 a resource budget was
@@ -184,6 +191,45 @@ def _write_counts(stream, counts: ClassCounts) -> None:
     stream.write("\n  }")
 
 
+class _AverageRows(tuple):
+    """The CharacterAverageRows of a rho or eta table, as a payload value
+    that _write_average_rows writes."""
+
+
+# One CharacterAverageRow in JSON, around its exponent list, and the rows
+# per write.
+_ROW_HEAD = '    {\n      "conductor": %d,\n      "exponents": '
+_ROW_TAIL = (',\n      "index": %d,\n      "order": %d,\n      "value": {\n'
+             '        "abs": %r,\n        "im": %r,\n        "re": %r\n      }\n    }')
+_ROWS_CHUNK = 1 << 12
+
+
+def _write_average_rows(stream, rows: _AverageRows) -> None:
+    """Write a table's rows, exactly as json.dumps(sort_keys=True, indent=2)
+    would at the top level of the document, with one %-template per row
+    over the flat tuple (conductor, exponents..., index, order, abs, im, re).
+    A table has at least one row, and every row as many exponents as the
+    modulus has generators."""
+    width = len(rows[0].exponents)
+    exponents = "[\n" + ",\n".join(["        %d"] * width) + "\n      ]" if width else "[]"
+    template = _ROW_HEAD + exponents + _ROW_TAIL
+    stream.write("[\n")
+    for start in range(0, len(rows), _ROWS_CHUNK):
+        if start:
+            stream.write(",\n")
+        stream.write(",\n".join([
+            template % (r.conductor, *r.exponents, r.index, r.order,
+                        abs(r.value), r.value.imag, r.value.real)
+            for r in rows[start : start + _ROWS_CHUNK]]))
+    stream.write("\n  ]")
+
+
+# The payload values that JSON output writes itself, by type, each at a
+# NUL-led placeholder: maps over millions of classes never become a dict,
+# and table rows skip the per-row dicts of json.dumps.
+_WRITERS = {ClassCounts: _write_counts, _AverageRows: _write_average_rows}
+
+
 # A CSV cell read from a complex value names the part it wants.
 _COMPLEX_PARTS = {"re": lambda z: z.real, "im": lambda z: z.imag, "abs": abs}
 # Cells the csv module writes as they are (None as a blank).
@@ -215,8 +261,8 @@ def _emit(args: argparse.Namespace, payload: dict[str, Any], columns: Sequence[s
     Each column spec is "name" or "name=dotted.path" and reads one cell
     of every row record; the records are the payload itself unless rows
     are given.  Rows given as cells are already one plain cell per
-    column and are written as they are.  Top-level ClassCounts payload
-    values appear in JSON only.
+    column and are written as they are.  Top-level payload values of a
+    type in _WRITERS appear in JSON only.
     """
     config = _config_echo(args)
     stream = (open(args.output, "w", newline="", encoding="utf-8") if args.output
@@ -225,16 +271,16 @@ def _emit(args: argparse.Namespace, payload: dict[str, Any], columns: Sequence[s
         if args.format == "json":
             doc = {"tool": "sigmalab", "version": __version__, "command": args.command,
                    "config": _json_safe(config)}
-            maps = {k: v for k, v in payload.items() if isinstance(v, ClassCounts)}
-            doc.update(_json_safe({k: v for k, v in payload.items() if k not in maps}))
-            # A NUL-led string marks each map's place; no flag value can
-            # hold a NUL character.
-            doc.update({k: "\0" + k for k in maps})
+            spliced = {k: v for k, v in payload.items() if type(v) in _WRITERS}
+            doc.update(_json_safe({k: v for k, v in payload.items() if k not in spliced}))
+            # A NUL-led string marks each spliced value's place; no flag
+            # value can hold a NUL character.
+            doc.update({k: "\0" + k for k in spliced})
             text = json.dumps(doc, sort_keys=True, indent=2)
-            for key in sorted(maps):
+            for key in sorted(spliced):
                 head, text = text.split(json.dumps("\0" + key), 1)
                 stream.write(head)
-                _write_counts(stream, maps[key])
+                _WRITERS[type(spliced[key])](stream, spliced[key])
             stream.write(text + "\n")
         else:
             cfg = " ".join(f"{k}={v}" for k, v in sorted(config.items()))
@@ -376,13 +422,14 @@ def _cmd_character_table(args: argparse.Namespace) -> int:
     m = _modulus(args)
     rho = args.command == "rho-table"
     table = rho_table(m) if rho else eta_table(m)
-    payload = {"q": m.q, "phi": m.phi, "rows": [vars(row) for row in table],
+    payload = {"q": m.q, "phi": m.phi, "rows": _AverageRows(table),
                "alpha": m.alpha, "alpha_tilde": m.alpha_tilde}
     label = ("mean of chi(v+1) over units v" if rho
              else "mean of chi(v^2+v+1) over units v")
-    _emit(args, payload, ["index", "exponents", "order", "conductor",
-                          "re=value.re", "im=value.im", "abs=value.abs"],
-          f"{label}, all characters mod {m.q}", payload["rows"])
+    cells = ([r.index, ";".join(map(str, r.exponents)), r.order, r.conductor,
+              r.value.real, r.value.imag, abs(r.value)] for r in table)
+    _emit(args, payload, ["index", "exponents", "order", "conductor", "re", "im", "abs"],
+          f"{label}, all characters mod {m.q}", cells=cells)
     return 0
 
 

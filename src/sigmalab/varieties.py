@@ -80,19 +80,23 @@ class CurveCount:
     bound_certified: bool
 
 
-def _block_value_distribution(pp: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
-    """(distribution, units) for v ↦ v²+v+1 on U_{pp}, pp = ell^e.
+def _block_value_distribution(pp: int, ell: int) -> np.ndarray:
+    """The distribution of v ↦ v²+v+1 on U_{pp}, pp = ell^e.
 
     distribution[t] counts units v with v²+v+1 ≡ t, with non-unit
     targets zeroed (a tuple whose product is a unit never passes
-    through them); units is the ascending array of unit residues.
+    through them).  The values are built in place, so at most 25 bytes
+    per residue are alive: the values, the unit mask, the values at the
+    units and the int64 bincount.
     """
-    v = np.arange(pp, dtype=np.int64)
-    unit = (v % ell) != 0
-    values = (v * v + v + 1) % pp
-    dist = np.bincount(values[unit], minlength=pp).astype(np.int64)
+    values = np.arange(pp, dtype=np.int64)
+    unit = values % ell != 0
+    values *= values + 1
+    values += 1
+    values %= pp
+    dist = np.bincount(values[unit], minlength=pp)
     dist[~unit] = 0
-    return dist, np.flatnonzero(unit).astype(np.int64)
+    return dist
 
 
 def _convolve_block(
@@ -147,7 +151,8 @@ def v_count(
                 f"block {ell}^{e} needs ~{phi_pp * phi_pp * (arity - 1)} "
                 f"unit-pair operations, budget is {work_budget}"
             )
-        dist, units = _block_value_distribution(pp, ell)
+        dist = _block_value_distribution(pp, ell)
+        units = np.flatnonzero(np.arange(pp) % ell)
         local = _convolve_block(dist, units, pp, arity)
         total *= int(local[w % pp])
         if total == 0:
@@ -164,13 +169,15 @@ def _lift_target(ell: int) -> int:
 def _product_pairs(hist: np.ndarray, ell: int, e: int, target: int) -> int:
     """Σ_s hist[s]·hist[target·s^{−1}] over the units s mod ℓ^e, target a unit
     g^k reduced mod ℓ^e: along the powers g^j of a generator, g^j pairs with
-    g^{k−j}, which the sequence reversed and rotated by k + 1 puts at j."""
+    g^{k−j}, so j ≤ k meets the prefix reversed and j > k the suffix
+    reversed, both views.  Besides hist it holds the powers and hist along
+    them, 16 bytes per unit."""
     pp = ell**e
     order = pp // ell * (ell - 1)
     powers = _power_table(_primitive_root_prime_power(ell, e), order, pp)
     k = int(np.flatnonzero(powers == target)[0])
     h = hist[powers]
-    return int(h @ np.roll(h[::-1], k + 1))
+    return int(h[: k + 1] @ h[k::-1]) + int(h[k + 1 :] @ h[:k:-1])
 
 
 def lift_count_mod_ell_squared(ell: int) -> int:
@@ -183,14 +190,15 @@ def lift_count_mod_ell_squared(ell: int) -> int:
     generator of U_{ℓ²}, a different route from v_count's convolution,
     so the two serve as mutual oracles.
 
-    At most six arrays over the ℓ² residues are alive at once, five
-    int64 and a bool mask, so 41·ℓ² bytes and the ufunc buffers are
-    checked against DEFAULT_MEMORY_BUDGET before any is allocated.
+    At most 25 bytes per residue mod ℓ² are alive at once, in the
+    distribution's build and again in the pairing (three int64 arrays),
+    so 25·ℓ² bytes and the ufunc buffers are checked against
+    DEFAULT_MEMORY_BUDGET before any is allocated.
     """
     ell = _require_prime(ell, floor=5)
-    check_budget(41 * ell * ell + (1 << 17), DEFAULT_MEMORY_BUDGET,
+    check_budget(25 * ell * ell + (1 << 17), DEFAULT_MEMORY_BUDGET,
                  f"value tables mod {ell}^2")
-    dist = _block_value_distribution(ell * ell, ell)[0]
+    dist = _block_value_distribution(ell * ell, ell)
     return _product_pairs(dist, ell, 2, _lift_target(ell))
 
 
@@ -202,24 +210,29 @@ def curve_point_count(ell: int, which: str = "completed-square", w: int = 1) -> 
     the value histograms of the two factors: for a nonzero target the
     pairs are Σ_{s≠0} h[s]·h[target/s], paired along the powers of a
     generator of 𝔽_ℓ^×, and for target ≡ 0 they are h[0]·(2ℓ − h[0]).
-    At most seven int64 arrays over 𝔽_ℓ are alive at once, so 56·ℓ bytes
-    and the ufunc buffers are checked against DEFAULT_MEMORY_BUDGET before
-    any is allocated.
+    The values are built in place and dropped once binned, so at most
+    three int64 arrays over 𝔽_ℓ are alive at once, the histogram and the
+    pairing's two; 24·ℓ bytes and the ufunc buffers are checked against
+    DEFAULT_MEMORY_BUDGET before any is allocated.
     """
     ell = _require_prime(ell, floor=2)
     if which not in ("completed-square", "sigma-product"):
         raise ValueError(f"which must be 'completed-square' or 'sigma-product', got {which!r}")
-    check_budget(56 * ell + (1 << 17), DEFAULT_MEMORY_BUDGET, f"value tables over F_{ell}")
-    x = np.arange(ell, dtype=np.int64)
+    check_budget(24 * ell + (1 << 17), DEFAULT_MEMORY_BUDGET, f"value tables over F_{ell}")
+    values = np.arange(ell, dtype=np.int64)
     if which == "completed-square":
-        values = (x * x + 3) % ell
+        values *= values
+        values += 3
         target = 9 % ell
         w_field: Optional[int] = None
     else:
-        values = (x * x + x + 1) % ell
+        values *= values + 1
+        values += 1
         target = int(w) % ell
         w_field = int(w)
-    hist = np.bincount(values, minlength=ell).astype(np.int64)
+    values %= ell
+    hist = np.bincount(values, minlength=ell)
+    del values
     count = (int(hist[0] * (2 * ell - hist[0])) if target == 0
              else _product_pairs(hist, ell, 1, target))
     return CurveCount(ell=ell, which=which, w=w_field, count=count,

@@ -122,18 +122,41 @@ def test_conductor_matches_brute():
             assert chi.conductor == brute_conductor(chi, q)
 
 
-def test_conductor_counts_partition_phi():
+def brute_order(chi: DirichletCharacter, q: int) -> int:
+    """Least k >= 1 with chi(u)^k = 1 for every unit u: the lcm of the
+    orders of its values."""
+    k = 1
+    for u in brute_units(q):
+        k = math.lcm(k, chi(u).order)
+    return k
+
+
+def test_character_grid_matches_brute():
+    """The grid's exponents are the enumeration order, and its orders and
+    conductors are the brute ones, for every character mod q <= 120."""
     for q in range(1, 121):
         m = build_modulus(q)
-        by_cond = {}
-        for chi in enumerate_characters(m):
-            by_cond[chi.conductor] = by_cond.get(chi.conductor, 0) + 1
-        assert sum(by_cond.values()) == m.phi
-        for d, n in by_cond.items():
-            assert q % d == 0
-            assert character_with_conductor_count(m, d) == n
-        # primitive characters mod q are exactly those of conductor q
-        assert character_with_conductor_count(m, q) == by_cond.get(q, 0)
+        exponents, orders, conductors = m.character_grid()
+        assert exponents.shape == (len(m.basis.generators), m.phi)
+        for i, (exps, order, conductor) in enumerate(zip(
+                exponents.T.tolist(), orders.tolist(), conductors.tolist())):
+            chi = m.character(i)
+            assert tuple(exps) == chi.exponents
+            assert (order, conductor) == (brute_order(chi, q), brute_conductor(chi, q)), (q, i)
+
+
+def test_conductor_counts_partition_phi():
+    """For every d | q the grid holds character_with_conductor_count(m, d)
+    characters of conductor d, and no other conductor occurs; the primitive
+    characters mod q are those of conductor q."""
+    for q in [*range(1, 121), 1024, 4007, 5005, 10010, 17303, 2**4 * 3**3 * 5**2 * 7]:
+        m = build_modulus(q)
+        found, counts = np.unique(m.character_grid()[2], return_counts=True)
+        want = {d: character_with_conductor_count(m, d)
+                for d in range(1, q + 1) if q % d == 0}
+        assert dict(zip(found.tolist(), counts.tolist())) == {
+            d: n for d, n in want.items() if n}, q
+        assert sum(want.values()) == m.phi
 
 
 def test_primitive_character_induces_original():

@@ -356,6 +356,44 @@ def test_int_map_matches_json_dumps(mapping):
     assert "{\n  \"m\": " + buf.getvalue() + "\n}" == want
 
 
+def _fraction_doc(value):
+    return {"numerator": value.numerator, "denominator": value.denominator,
+            "float": float(value)}
+
+
+@pytest.mark.parametrize("q", [1, 2, 4, 16, 48, 4007, 10010, 17303])
+@pytest.mark.parametrize("command", ["rho-table", "eta-table"])
+def test_character_table_bytes_match_oracle(tmp_path, command, q):
+    """The template-written rows give the bytes of json.dumps over vars(row),
+    with value split into abs/im/re, and the CSV the bytes of csv.writer over
+    the same fields, for one and two 2-adic generators, none, and large q."""
+    m = sigmalab.build_modulus(q)
+    table = (sigmalab.rho_table if command == "rho-table" else sigmalab.eta_table)(m)
+    rows = [{**vars(r), "value": {"abs": abs(r.value), "im": r.value.imag,
+                                  "re": r.value.real}} for r in table]
+    want = {"tool": "sigmalab", "version": sigmalab.__version__, "command": command,
+            "config": {"format": "json", "q": q}, "q": q, "phi": m.phi, "rows": rows,
+            "alpha": _fraction_doc(m.alpha), "alpha_tilde": _fraction_doc(m.alpha_tilde)}
+    code, raw = run(tmp_path, command, "--q", str(q))
+    assert code == 0
+    # line lists, so that a failure reports the first differing line quickly
+    assert (raw.decode("utf-8").splitlines(keepends=True)
+            == (json.dumps(want, sort_keys=True, indent=2) + "\n").splitlines(keepends=True))
+
+    label = ("mean of chi(v+1) over units v" if command == "rho-table"
+             else "mean of chi(v^2+v+1) over units v")
+    buf = io.StringIO(newline="")
+    buf.write(f"# sigmalab {sigmalab.__version__} {command}: {label}, all characters "
+              f"mod {q} [format=csv q={q}]\r\n")
+    writer = csv.writer(buf)
+    writer.writerow(["index", "exponents", "order", "conductor", "re", "im", "abs"])
+    writer.writerows([r.index, ";".join(map(str, r.exponents)), r.order, r.conductor,
+                      r.value.real, r.value.imag, abs(r.value)] for r in table)
+    code, raw = run(tmp_path, command, "--q", str(q), "--format", "csv")
+    assert code == 0
+    assert raw.splitlines(keepends=True) == buf.getvalue().encode().splitlines(keepends=True)
+
+
 def test_census_csv_bytes_pinned(tmp_path):
     """Pinned bytes: share and deviation floats in repr form, blanks for an
     empty census, CRLF line ends."""

@@ -68,6 +68,9 @@ CASES = {
     "eta_table_q15_csv": ["eta-table", "--q", "15", "--format", "csv"],
     "rho_table_q15": ["rho-table", "--q", "15"],
     "rho_table_q15_csv": ["rho-table", "--q", "15", "--format", "csv"],
+    "rho_table_q16": ["rho-table", "--q", "16"],
+    "eta_table_q1": ["eta-table", "--q", "1"],
+    "eta_table_q16_csv": ["eta-table", "--q", "16", "--format", "csv"],
     # verification checks and point counts
     "verify_s_set": ["verify-s-set"],
     "verify_s_set_q35_csv": ["verify-s-set", "--q", "35", "--format", "csv"],

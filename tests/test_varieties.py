@@ -223,7 +223,8 @@ def test_lift_count_validation():
                                          (curve_point_count, (100_003, "sigma-product", 2))])
 def test_point_count_peak_within_price(monkeypatch, count, args):
     """The traced peak of a lift or curve count stays within the bytes it
-    checks against the budget before allocating."""
+    checks against the budget before allocating, and at or above 80% of
+    them."""
     prices = []
     monkeypatch.setattr(varieties, "check_budget",
                         lambda need, *rest: prices.append(need) or check_budget(need, *rest))
@@ -233,7 +234,7 @@ def test_point_count_peak_within_price(monkeypatch, count, args):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(prices) == 1 and peak <= prices[0], (peak, prices)
+    assert len(prices) == 1 and 0.8 * prices[0] <= peak <= prices[0], (peak, prices)
 
 
 def brute_curve_count(ell: int, which: str, w: int) -> int:
