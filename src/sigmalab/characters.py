@@ -31,9 +31,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import OutOfRangeError, ResourceBudgetError
-
-MAX_MODULUS = 10_000_000  # dlog tables are dense per prime power; cap guards misuse
+from ._scan import DEFAULT_MEMORY_BUDGET, check_budget
+from .errors import OutOfRangeError
 
 
 def trial_factorization(n: int) -> tuple[tuple[int, int], ...]:
@@ -265,28 +264,36 @@ class Modulus:
                      even q since the local factor at 2 vanishes.
     alpha_tilde(q) = prod over primes ell | q, ell = 1 mod 3, of (1 - 2/(ell-1)).
 
-    Both are exact fractions. Unit-group structures are built lazily.
+    Both are exact fractions. Unit-group structures are built lazily, but
+    priced at once against memory_budget, at their peak: q bytes for the
+    unit mask, 4 per entry of each dlog table (ell^e per odd ell, 2·2^e
+    for 2^e with e >= 3, 4 for 4), and 61 per unit for the units, their
+    dlog index and one character_transform.  A q outside 1 <= q < 2^63
+    raises OutOfRangeError; a q whose unit mask alone is over budget is
+    refused before it is factored, and any other over-budget q after.
     """
 
-    def __init__(self, q: int, modulus_cap: int = MAX_MODULUS) -> None:
-        if q < 1:
-            raise OutOfRangeError("q must be >= 1")
-        if q > modulus_cap:
-            raise ResourceBudgetError(
-                f"modulus {q} exceeds the dlog-table cap {modulus_cap}")
+    def __init__(self, q: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> None:
+        if not 1 <= q < 1 << 63:
+            raise OutOfRangeError(f"q must satisfy 1 <= q < 2^63, got {q}")
         self.q = int(q)
+        what = f"tables mod {self.q}"
+        check_budget(self.q, memory_budget, what)
         self.factorization = trial_factorization(self.q)
         phi = 1
+        dlog_entries = 0
         alpha = Fraction(1)
         alpha_tilde = Fraction(1)
         for ell, e in self.factorization:
             phi *= _phi_prime_power(ell, e)
+            dlog_entries += ell**e * (1 if ell > 2 else min(e - 1, 2))  # tables per block
             alpha *= Fraction(ell - 2, ell - 1)
             if ell % 3 == 1:
                 alpha_tilde *= Fraction(ell - 3, ell - 1)
         self.phi = phi
         self.alpha = alpha
         self.alpha_tilde = alpha_tilde
+        check_budget(self.q + 4 * dlog_entries + 61 * phi, memory_budget, what)
         self._basis: UnitGroupBasis | None = None
         self._unit_mask: np.ndarray | None = None
         self._units: np.ndarray | None = None
@@ -391,9 +398,9 @@ class Modulus:
         return DirichletCharacter(self, (0,) * len(self.basis.generators))
 
 
-def build_modulus(q: int) -> Modulus:
-    """Construct the arithmetic environment mod q."""
-    return Modulus(q)
+def build_modulus(q: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> Modulus:
+    """Construct the arithmetic environment mod q, priced against memory_budget."""
+    return Modulus(q, memory_budget)
 
 
 @lru_cache(maxsize=512)

@@ -219,6 +219,8 @@ def weil_clz_check(ell: int, e: int) -> WeilBoundReport:
     ell = _require_prime(ell, floor=5)
     if e < 2:
         raise OutOfRangeError(f"e must be at least 2, got {e}")
+    if e >= 64 or ell**e >= 1 << 63:  # e < 64 first: no huge power is built
+        raise OutOfRangeError(f"{ell}^{e} must be below 2^63")
     modulus = ell ** e
     m = shared_modulus(modulus)
     v = np.arange(modulus, dtype=np.int64)
@@ -335,11 +337,12 @@ class PolynomialSpec:
 
     def evaluate_array(self, v: np.ndarray, modulus: int) -> np.ndarray:
         """F(v) mod modulus, vectorized Horner over an int64 array, in place:
-        it holds one array as long as v, not a temporary per operation."""
+        it holds one array as long as v, not a temporary per operation.
+        Each coefficient is reduced mod modulus first, so any fits int64."""
         out = np.zeros_like(v)
         for c in reversed(self.coefficients):
             out *= v
-            out += c
+            out += c % modulus
             out %= modulus
         return out
 

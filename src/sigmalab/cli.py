@@ -7,7 +7,7 @@ values; census writes one row per class.  There is no randomness
 anywhere, so identical flags and tool version produce byte-identical
 output.  --workers (at least 1), on the commands that may run the
 segment sieve, changes wall time only, never bytes.  Numeric flags
-accept scientific notation (--x 1e7).
+accept scientific notation (--x 1e7), but not nan, ±inf or 1e400.
 
 JSON output is json.dumps(sort_keys=True, indent=2) of the payload, but
 two kinds of payload value are written by templates at a placeholder
@@ -18,17 +18,19 @@ and the character transform) rather than from per-character objects.
 
 Exit codes: 0 success, 1 a verification-style subcommand found a
 violation (weil-check, verify-s-set, witness mismatch), 2 bad usage or
-an argument out of range (one line on stderr), 3 a resource budget was
-exceeded.  The memory budget defaults to 2·10⁹ bytes and can be
-overridden by --memory-budget or the SIGMALAB_MEMORY_BUDGET environment
-variable (flag wins) on the subcommands that read it: all but weil-check,
-g-one, lift-count and curve-count.  The last three check their tables
-against the fixed default.
+an argument out of range, such as a modulus q >= 2^63 (one line on
+stderr), 3 a resource budget was exceeded.  The memory budget defaults
+to 2·10⁹ bytes and can be overridden by --memory-budget or the
+SIGMALAB_MEMORY_BUDGET environment variable (flag wins) on the
+subcommands that read it: all but weil-check, g-one, lift-count and
+curve-count, which check their tables against the fixed default.  Each
+modulus prices its own tables in bytes against the budget (Modulus).
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import math
@@ -71,18 +73,25 @@ from .varieties import (
 ENV_MEMORY_BUDGET = "SIGMALAB_MEMORY_BUDGET"
 
 
+def _finite(kind: type, text: str, bad: str) -> float | complex:
+    """kind(text); refused with the message bad if unreadable, and as not
+    finite if nan, ±inf or overflowing to inf (as 1e400 does)."""
+    try:
+        value = kind(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(bad) from exc
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _parse_int(text: str) -> int:
     """Integer flag value; scientific notation like 1e7 is read exactly."""
     try:
         return int(text, 10)
     except ValueError:
         pass
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    _finite(float, text, f"not a number: {text!r}")
     exact = Fraction(text)
     if exact.denominator != 1:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
@@ -90,19 +99,12 @@ def _parse_int(text: str) -> int:
 
 
 def _parse_float(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    return _finite(float, text, f"not a number: {text!r}")
 
 
 def _parse_complex(text: str) -> complex:
-    try:
-        return complex(text.replace(" ", ""))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"not a complex number: {text!r} (use forms like 0.5 or 0.3+0.4j)"
-        ) from exc
+    return _finite(complex, text.replace(" ", ""),
+                   f"not a complex number: {text!r} (use forms like 0.5 or 0.3+0.4j)")
 
 
 class _EmptyListError(Exception):
@@ -331,9 +333,7 @@ def _budget(args: argparse.Namespace) -> int:
 
 
 def _modulus(args: argparse.Namespace) -> Modulus:
-    # Residue tables, unit masks, and class counters cost roughly 64
-    # bytes per residue class across the pipeline.
-    return Modulus(args.q, modulus_cap=_budget(args) // 64)
+    return Modulus(args.q, _budget(args))
 
 
 def _add_filter(parser: argparse.ArgumentParser) -> None:

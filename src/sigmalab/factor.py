@@ -22,7 +22,7 @@ import numpy as np
 from . import _sublinear
 from ._scan import (DEFAULT_MEMORY_BUDGET, DEFAULT_SEGMENT_LENGTH, check_budget, plan,
                     primes_up_to, segment_bounds)
-from .errors import OutOfRangeError, ResourceBudgetError
+from .errors import OutOfRangeError
 
 
 @dataclass(frozen=True)
@@ -143,9 +143,9 @@ class FactorSieve:
     def __init__(self, limit: int, *, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> None:
         if limit < 2:
             raise ValueError("limit must be >= 2")
-        check_budget(4 * (limit + 1), memory_budget, f"spf table for limit {limit}")
         if limit >= 2**32:
-            raise ResourceBudgetError("spf entries are uint32; limit must be < 2^32")
+            raise OutOfRangeError("spf entries are uint32; limit must be < 2^32")
+        check_budget(4 * (limit + 1), memory_budget, f"spf table for limit {limit}")
         self.limit = int(limit)
         self._spf: np.ndarray | None = None
         self._primes: np.ndarray | None = None

@@ -307,9 +307,10 @@ def g_one_euler_product(
 
     The primes ≤ p_max take prime_table_bytes(p_max), the sieve and 8
     bytes per int64 prime.  Later the float64 primes, those above y and
-    two complex temporaries hold 48 bytes per prime, 40 more than the
-    int64 primes.  With 128 KiB of ufunc buffers, the sum is checked
-    against DEFAULT_MEMORY_BUDGET before any of them is allocated.
+    one complex temporary, built in place, hold 32 bytes per prime, more
+    than the sieve and the int64 primes for every p_max below 10²⁶.
+    With 128 KiB of ufunc buffers, that is checked against
+    DEFAULT_MEMORY_BUDGET before any of them is allocated.
     """
     y = float(y)
     beta = complex(beta)
@@ -318,8 +319,8 @@ def g_one_euler_product(
         raise OutOfRangeError(f"cut must satisfy y >= 2, got {y}")
     if p_max < y:
         raise OutOfRangeError(f"truncation p_max = {p_max} must reach the cut y = {y}")
-    table = prime_table_bytes(p_max)  # (p_max + 1)//2 sieve bytes, then 8 per prime
-    check_budget(table + 5 * (table - (p_max + 1) // 2) + (1 << 17), DEFAULT_MEMORY_BUDGET,
+    int64_primes = prime_table_bytes(p_max) - (p_max + 1) // 2  # 8 bytes per prime
+    check_budget(4 * int64_primes + (1 << 17), DEFAULT_MEMORY_BUDGET,
                  f"prime table for p_max = {p_max}")
     primes = primes_up_to(p_max).astype(np.float64)
     head = primes[primes <= y]
@@ -328,7 +329,8 @@ def g_one_euler_product(
         tail_primes = primes[primes > y]
         if tail_primes.size:
             log_total += beta * float(np.sum(np.log1p(-1.0 / tail_primes)))
-            log_total -= complex(np.sum(np.log(1.0 - beta / tail_primes)))
+            terms = beta / tail_primes  # then 1 - beta/p and its log, in place
+            log_total -= complex(np.sum(np.log(np.subtract(1.0, terms, out=terms), out=terms)))
         log_total += (beta * beta - beta) / 2.0 * _exp_integral_e1(math.log(p_max))
     second_order = abs(beta * (beta - 1.0)) / 2.0 * _exp_integral_e1(math.log(p_max))
     tail_estimate = 0.05 * second_order + (1.0 + abs(beta)) / float(p_max) ** 2

@@ -279,22 +279,19 @@ _WITNESS_CENSUS = {"even": (2, 4, "four", "the witness class"),
 def _witness_census(kind: str, y: int, x: int, workers: int,
                     memory_budget: int) -> tuple[list[int], CensusReport]:
     """The primes 5 ≤ ℓ ≤ y and, for q = 2·∏ ℓ^power, the census of n ≤ x
-    under P_k(n) > q, after the checks of x; q must fit 64 bits.  The census
-    prices itself before it builds anything, so an over-budget witness
-    refuses before it walks its primes."""
+    under P_k(n) > q, after the checks of x.  Every y ≥ 53 gives q ≥ 2⁶³,
+    which Modulus refuses, so only the primes ≤ min(y, 64) are sieved.  The
+    modulus and the census price themselves before they build anything, so
+    an over-budget witness refuses before it walks its primes."""
     power, k = _WITNESS_CENSUS[kind][:2]
     if x < 4:
         raise OutOfRangeError(f"x must be >= 4, got {x}")
     plan(x)
-    ells = [int(p) for p in primes_up_to(y) if p >= 5]
+    ells = [int(p) for p in primes_up_to(min(y, 64)) if p >= 5]
     if not ells:
         raise OutOfRangeError(f"witness cut y = {y} admits no primes in [5, y]")
-    q = 2
-    for ell in ells:
-        q *= ell**power
-        if q >= 1 << 63:
-            raise ResourceBudgetError(f"witness modulus for y = {y} exceeds 64 bits")
-    return ells, census(x, build_modulus(q), CensusFilter.pk_threshold(k, q),
+    q = 2 * math.prod(ell**power for ell in ells)
+    return ells, census(x, build_modulus(q, memory_budget), CensusFilter.pk_threshold(k, q),
                         workers=workers, memory_budget=memory_budget)
 
 

@@ -7,6 +7,7 @@ never the generator/discrete-log representation under test.
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from sigmalab import (
     enumerate_characters,
     shared_modulus,
 )
+from sigmalab import characters
+from sigmalab._scan import check_budget
 
 
 def brute_units(q: int) -> list[int]:
@@ -228,6 +231,42 @@ def test_modulus_validation():
         Modulus(-5)
     with pytest.raises(ResourceBudgetError):
         Modulus(10**8)
+
+
+def test_modulus_refuses_out_of_range_and_over_budget_q(monkeypatch):
+    """q >= 2^63 is out of range; a prime just below it is refused on its
+    unit mask's q bytes before trial division would run to 3·10^9."""
+    for q in (2**63, 10**19):
+        with pytest.raises(OutOfRangeError):
+            Modulus(q)
+    monkeypatch.setattr(characters, "trial_factorization", None)
+    with pytest.raises(ResourceBudgetError, match="tables mod 9223372036854775783"):
+        Modulus(2**63 - 25)
+
+
+@pytest.mark.parametrize("q", [999_983, 1_531_530, 2**20, 3**12])
+def test_modulus_peak_within_price(monkeypatch, q):
+    """Modulus prices its tables at their peak: with every cached table and
+    one character_transform built, the traced peak (the weights are built
+    before tracing) lies within the price it checks and reaches at least
+    80% of it.  The price refuses a budget one byte short."""
+    prices = []
+    monkeypatch.setattr(characters, "check_budget",
+                        lambda need, *rest: prices.append(need) or check_budget(need, *rest))
+    weights = np.arange(q, dtype=np.int64) % 7
+    tracemalloc.start()
+    try:
+        m = Modulus(q)
+        m.basis, m.unit_mask, m.units
+        m.character_transform(weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prices == [q, prices[-1]]
+    assert 0.8 * prices[-1] <= peak <= prices[-1], (peak, prices)
+    Modulus(q, memory_budget=prices[-1])
+    with pytest.raises(ResourceBudgetError):
+        Modulus(q, memory_budget=prices[-1] - 1)
 
 
 def test_unit_mask_matches_gcd():

@@ -16,6 +16,7 @@ from sigmalab import (
     EXCEPTIONAL_CONDUCTORS,
     OutOfRangeError,
     PolynomialSpec,
+    ResourceBudgetError,
     UnsupportedModulusError,
     alpha_F,
     build_modulus,
@@ -228,6 +229,10 @@ def test_polynomial_spec():
         PolynomialSpec((1,))
     with pytest.raises(ValueError):
         PolynomialSpec((1, 1, 0))
+    # a coefficient beyond int64 is reduced mod q before the Horner step
+    big, small = PolynomialSpec((10**19, 1)), PolynomialSpec((10**19 % 7, 1))
+    assert big.evaluate_array(np.arange(50), 7).tolist() == [(10**19 + n) % 7 for n in range(50)]
+    assert alpha_F(big, build_modulus(7)) == alpha_F(small, build_modulus(7))
 
 
 def test_exceptional_conductor_set():
@@ -263,11 +268,19 @@ def test_weil_bound_extremes():
     assert report.all_within and report.max_ratio <= 1 + 1e-9
 
 
-@pytest.mark.parametrize("ell, e", [(4, 2), (3, 2), (7, 1)])
+@pytest.mark.parametrize("ell, e", [(4, 2), (3, 2), (7, 1), (5, 28), (7, 23), (5, 10**9)])
 def test_weil_check_refuses_bad_ell_or_e(ell, e):
-    """ell must be a prime at least 5 and e at least 2."""
+    """ell must be a prime at least 5, e at least 2 and ell^e below 2^63,
+    which is checked without computing a huge power."""
     with pytest.raises(OutOfRangeError):
         weil_clz_check(ell, e)
+
+
+def test_weil_check_prices_a_large_power():
+    """5^27 < 2^63 fits the range, but its modulus tables do not fit the
+    default budget."""
+    with pytest.raises(ResourceBudgetError):
+        weil_clz_check(5, 27)
 
 
 def test_tables_align_with_single_calls():

@@ -5,6 +5,7 @@ exactly the bytes a shell user would.
 """
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import inspect
@@ -258,6 +259,12 @@ def test_prime_recip_coeffs(tmp_path):
     assert doc["unit_density"]["numerator"] == 2
     assert doc["unit_density"]["denominator"] == 3
     assert doc["sum"] > 0
+    # a coefficient beyond int64 is reduced mod q before the Horner step
+    _, big = run(tmp_path, "prime-recip", "--x", "1e4", "--q", "7", "--coeffs", "1e19,1")
+    _, small = run(tmp_path, "prime-recip", "--x", "1e4", "--q", "7",
+                   "--coeffs", f"{10**19 % 7},1")
+    for key in ("sum", "unit_density"):
+        assert json.loads(big)[key] == json.loads(small)[key], key
 
 
 def test_complex_beta_parsing(tmp_path):
@@ -432,13 +439,67 @@ def test_census_csv_bytes_pinned(tmp_path):
     ["census", "--x", "100", "--q", "5", "--workers", "-2"],
     ["census", "--x", "100", "--q", "5", "--workers", "0"],
     ["lsd-scan", "--beta", "0.5", "--Y", "7", "--x-grid", ","],
+    ["census", "--x", "100", "--q", "1e19"],
+    ["witness-sqfree", "--Y", "1e18", "--x", "1e6"],
+    ["weil-check", "--ell", "5", "--e", "1e9"],
 ])
 def test_exit_code_2_beyond_int64_range(capsys, argv):
     """Arguments out of range give one line and exit 2, never a traceback:
     x whose integers do not fit in int64 (refused before any prime table
     is allocated), a character index outside
-    0..φ(q) − 1, a worker count below 1, an empty list and a constant
-    polynomial."""
+    0..φ(q) − 1, a worker count below 1, an empty list, a constant
+    polynomial, and a modulus q or ell^e of 2^63 or more."""
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("sigmalab: ")
+
+
+# Flag values a hostile caller might pass: out of range, beyond int64,
+# non-finite, fractional, empty, not a number, complex.
+HOSTILE = ["0", "-1", str(2**63 - 1), str(2**63 + 1), "1e19", "1e400", "nan", "inf",
+           "-inf", "1e-3", "", "abc", "0.3+0.4j"]
+SUBCOMMANDS = next(a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@st.composite
+def hostile_argv(draw):
+    """One subcommand with every required flag and some optional ones:
+    x small, --memory-budget 10^7 wherever it is read, the workers at
+    most 8, choices among their own, and every other value from HOSTILE."""
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    argv = [command]
+    for action in SUBCOMMANDS[command]._actions:
+        if action.dest in ("help", "output"):
+            continue
+        if action.dest == "memory_budget":
+            value = "1e7"
+        elif not (action.required or draw(st.booleans())):
+            continue
+        elif action.dest in ("x", "x_grid"):
+            value = draw(st.sampled_from(["100", "1000"]))
+        elif action.dest == "workers":
+            value = draw(st.sampled_from(["1", "8", "0", "-1", "1e-3", "nan", "abc"]))
+        elif action.choices and action.dest != "arity":
+            value = draw(st.sampled_from(list(action.choices)))
+        else:
+            value = draw(st.sampled_from(HOSTILE))
+        argv.append(f"{action.option_strings[0]}={value}")
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(hostile_argv())
+def test_hostile_arguments_never_end_in_a_traceback(argv):
+    """Every subcommand under hostile flag values exits 0, 1, 2 or 3, with
+    at most one stderr line for 2 and 3; an exception escaping main fails
+    the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code)
+    if code >= 2:
+        assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())

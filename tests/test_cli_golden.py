@@ -121,6 +121,9 @@ CASES = {
     "error_witness_no_primes": ["witness-even", "--Y", "4", "--x", "1e4"],
     "error_workers_negative": ["census", "--x", "100", "--q", "5", "--workers", "-2"],
     "error_x_grid_empty": ["lsd-scan", "--beta", "0.5", "--Y", "7", "--x-grid", ","],
+    "error_lsd_y_nan": ["lsd-scan", "--beta", "0.5", "--Y", "nan", "--x-grid", "1000"],
+    "error_lsd_beta_nan": ["lsd-scan", "--beta", "nan", "--Y", "7", "--x-grid", "1000"],
+    "error_g_one_y_inf": ["g-one", "--Y", "inf", "--beta", "0.5", "--p-max", "1000"],
     "error_budget": ["census", "--x", "1e4", "--q", "5", "--memory-budget", "100"],
 }
 

@@ -185,5 +185,7 @@ def test_range_and_budget_errors(sieve_small):
         psi_smooth_count(30_000, 7, sieve_small)
     with pytest.raises(ResourceBudgetError):
         FactorSieve(10**9, memory_budget=10**6)
+    with pytest.raises(OutOfRangeError):  # uint32 entries, whatever the budget
+        FactorSieve(2**32, memory_budget=10**12)
     with pytest.raises(ValueError):
         kth_largest_prime_factor(sieve_small.factorize(12), 0)

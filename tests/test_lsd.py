@@ -225,7 +225,8 @@ def test_g_one_truncation_stability():
 
 def test_g_one_peak_within_price(monkeypatch):
     """The traced peak of the Euler product stays within the bytes it
-    checks against the budget before building its primes."""
+    checks against the budget before building its primes, and reaches
+    at least 80% of them."""
     prices = []
     monkeypatch.setattr(lsd, "check_budget",
                         lambda need, *rest: prices.append(need) or check_budget(need, *rest))
@@ -235,7 +236,7 @@ def test_g_one_peak_within_price(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(prices) == 1 and peak <= prices[0], (peak, prices)
+    assert len(prices) == 1 and 0.8 * prices[0] <= peak <= prices[0], (peak, prices)
 
 
 def test_g_one_tail_estimate_decreases():

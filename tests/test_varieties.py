@@ -328,6 +328,21 @@ def test_witness_validation():
 
 
 @pytest.mark.parametrize("witness", [overrep_witness_sqfree, overrep_witness_even])
+def test_witness_modulus_beyond_int64_is_out_of_range(witness):
+    """Every y >= 53 gives q >= 2^63 for both kinds: refused as out of
+    range, with only the primes up to 64 sieved, even at y = 10^18."""
+    for y in (53, 10**18):
+        tracemalloc.start()
+        try:
+            with pytest.raises(OutOfRangeError, match="2\\^63"):
+                witness(y, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**5, (y, peak)
+
+
+@pytest.mark.parametrize("witness", [overrep_witness_sqfree, overrep_witness_even])
 def test_witness_prices_its_census_once(monkeypatch, witness):
     """The witness runs its census, which prices itself, before it walks
     its primes: one engine choice per call."""
