@@ -51,7 +51,6 @@ from .characters import (
     build_modulus,
     character_with_conductor_count,
     enumerate_characters,
-    shared_modulus,
 )
 from .charsums import (
     EXCEPTIONAL_CONDUCTORS,
@@ -145,7 +144,6 @@ __all__ = [
     "build_modulus",
     "character_with_conductor_count",
     "enumerate_characters",
-    "shared_modulus",
     # character averages
     "EXCEPTIONAL_CONDUCTORS",
     "SIGMA_AT_PRIME",

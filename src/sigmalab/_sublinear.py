@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from ._scan import check_budget, prime_table_bytes, primes_up_to
-from .characters import shared_modulus
+from .characters import Modulus
 
 # Work is x^(3/4)/ln x times φ(q)·(1 + (k + 1)·α(q)): phase 2 gathers only for the
 # share α(q) of primes with σ(p) a unit.  The sieve's is x.  The break-even ratio
@@ -277,4 +277,4 @@ def omega_tails(x: int, lo: int, hi: int, grades: int, budget: int) -> np.ndarra
     class_totals at q = 1, graded above lo, once its tables fit budget bytes."""
     check_budget(table_bytes(x, 1, grades), budget, f"prime-window tables for x = {x}")
     primes = primes_up_to(math.isqrt(x))
-    return class_totals(x, shared_modulus(1), primes, grades, lo, lo=lo, hi=hi)[:, 0]
+    return class_totals(x, Modulus(1), primes, grades, lo, lo=lo, hi=hi)[:, 0]

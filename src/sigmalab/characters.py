@@ -27,7 +27,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -61,16 +60,15 @@ def _require_prime(ell: int, floor: int = 2) -> int:
     return ell
 
 
+def _require_modulus_range(q: int) -> int:
+    """q as an int, or OutOfRangeError unless 1 <= q < 2^63."""
+    if not 1 <= q < 1 << 63:
+        raise OutOfRangeError(f"q must satisfy 1 <= q < 2^63, got {q}")
+    return int(q)
+
+
 def _phi_prime_power(ell: int, e: int) -> int:
     return 1 if e == 0 else ell ** (e - 1) * (ell - 1)
-
-
-def _valuation(n: int, ell: int) -> int:
-    v = 0
-    while n % ell == 0:
-        n //= ell
-        v += 1
-    return v
 
 
 def _least_primitive_root(ell: int) -> int:
@@ -268,15 +266,13 @@ class Modulus:
     priced at once against memory_budget, at their peak: q bytes for the
     unit mask, 4 per entry of each dlog table (ell^e per odd ell, 2·2^e
     for 2^e with e >= 3, 4 for 4), and 61 per unit for the units, their
-    dlog index and one character_transform.  A q outside 1 <= q < 2^63
-    raises OutOfRangeError; a q whose unit mask alone is over budget is
-    refused before it is factored, and any other over-budget q after.
+    dlog index and one character_transform, in all .price bytes.  A q
+    outside 1 <= q < 2^63 raises OutOfRangeError; a q whose unit mask alone
+    is over budget is refused before it is factored, any other after.
     """
 
     def __init__(self, q: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> None:
-        if not 1 <= q < 1 << 63:
-            raise OutOfRangeError(f"q must satisfy 1 <= q < 2^63, got {q}")
-        self.q = int(q)
+        self.q = _require_modulus_range(q)
         what = f"tables mod {self.q}"
         check_budget(self.q, memory_budget, what)
         self.factorization = trial_factorization(self.q)
@@ -293,7 +289,8 @@ class Modulus:
         self.phi = phi
         self.alpha = alpha
         self.alpha_tilde = alpha_tilde
-        check_budget(self.q + 4 * dlog_entries + 61 * phi, memory_budget, what)
+        self.price = self.q + 4 * dlog_entries + 61 * phi
+        check_budget(self.price, memory_budget, what)
         self._basis: UnitGroupBasis | None = None
         self._unit_mask: np.ndarray | None = None
         self._units: np.ndarray | None = None
@@ -403,12 +400,6 @@ def build_modulus(q: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> Modulus
     return Modulus(q, memory_budget)
 
 
-@lru_cache(maxsize=512)
-def shared_modulus(q: int) -> Modulus:
-    """Cached Modulus builder for internal reuse across characters."""
-    return Modulus(q)
-
-
 def _crt_pair(a1: int, m1: int, a2: int, m2: int) -> int:
     """x mod m1*m2 with x = a1 (m1), x = a2 (m2); moduli must be coprime."""
     if m2 == 1:
@@ -515,23 +506,27 @@ class DirichletCharacter:
         return self._conductor
 
     def component(self, ell: int) -> "DirichletCharacter":
-        """Restriction to the block mod ell^e (ell^e || q)."""
+        """Restriction to the block mod ell^e (ell^e || q); self if q = ell^e."""
         m = self.modulus
         e = dict(m.factorization).get(ell)
         if e is None:
             raise ValueError(f"{ell} does not divide q={m.q}")
+        if ell**e == m.q:
+            return self
         sub = [t for t, g in zip(self.exponents, m.basis.generators) if g.prime == ell]
-        return DirichletCharacter(shared_modulus(ell**e), tuple(sub))
+        return DirichletCharacter(Modulus(ell**e), tuple(sub))
 
     def primitive(self) -> "DirichletCharacter":
-        """The primitive character at conductor level inducing this one."""
+        """The primitive character at conductor level inducing this one, or self."""
         f = self.conductor
-        mf = shared_modulus(f)
         q = self.modulus.q
+        if f == q:
+            return self
+        mf = Modulus(f)
+        exponent_in_q = dict(self.modulus.factorization)
         exps = []
         for gen in mf.basis.generators:
-            e_q = _valuation(q, gen.prime)
-            block_q = gen.prime**e_q
+            block_q = gen.prime ** exponent_in_q[gen.prime]
             rest = q // block_q
             u = _crt_pair(gen.residue, block_q, 1, rest)
             val = self(u)

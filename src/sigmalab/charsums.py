@@ -29,11 +29,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._scan import DEFAULT_MEMORY_BUDGET, check_budget
 from .characters import (
     DirichletCharacter,
     Modulus,
+    _require_modulus_range,
     _require_prime,
-    shared_modulus,
     trial_factorization,
 )
 from .errors import (
@@ -212,28 +213,33 @@ def weil_clz_check(ell: int, e: int) -> WeilBoundReport:
     """Check |sum_{v mod ell^e} chi(v^2+v+1)| <= ell^{e/2} for all primitive chi.
 
     Requires a prime ell >= 5 and e >= 2, the regime in which the square-root
-    bound for these complete sums holds. All sums are one character
-    transform, O(ell^e log ell^e). worst_index is the least primitive index
+    bound for these complete sums holds; ell^e < 2^63 is checked before ell
+    is trial-divided. All sums are one character transform of the value
+    histogram, O(ell^e log ell^e), priced with the tables of Modulus(ell^e)
+    against DEFAULT_MEMORY_BUDGET. worst_index is the least primitive index
     whose |sum| is within 1e-9 * bound of max_abs: rounding decides ties.
     """
-    ell = _require_prime(ell, floor=5)
     if e < 2:
         raise OutOfRangeError(f"e must be at least 2, got {e}")
     if e >= 64 or ell**e >= 1 << 63:  # e < 64 first: no huge power is built
         raise OutOfRangeError(f"{ell}^{e} must be below 2^63")
+    ell = _require_prime(ell, floor=5)
     modulus = ell ** e
-    m = shared_modulus(modulus)
-    v = np.arange(modulus, dtype=np.int64)
-    hist = np.bincount((v * v + v + 1) % modulus, minlength=modulus)
-    primitive = np.flatnonzero(np.arange(m.phi) % ell)  # one generator: index t
-    prim_abs = np.abs(m.character_transform(hist))[primitive]
+    m = Modulus(modulus)
+    check_budget(m.price + 8 * modulus, DEFAULT_MEMORY_BUDGET,
+                 f"tables and value histogram mod {ell}^{e}")
+    hist = np.bincount(SIGMA_AT_PRIME_SQUARE.evaluate_array(
+        np.arange(modulus, dtype=np.int64), modulus), minlength=modulus)
+    sums = np.abs(m.character_transform(hist))
+    # one generator: t is primitive iff t % ell != 0, columns 1.. of the (phi/ell, ell) grid
+    prim_abs = sums.reshape(-1, ell)[:, 1:]
     bound = math.sqrt(modulus)
     max_abs = float(prim_abs.max())
-    worst = int(primitive[np.argmax(prim_abs >= max_abs - 1e-9 * bound)])
+    row, col = divmod(int(np.argmax(prim_abs >= max_abs - 1e-9 * bound)), ell - 1)
     return WeilBoundReport(
         ell=ell, e=e, modulus=modulus, bound=bound,
-        num_primitive=int(primitive.shape[0]), max_abs=max_abs,
-        max_ratio=max_abs / bound, worst_index=worst,
+        num_primitive=prim_abs.size, max_abs=max_abs,
+        max_ratio=max_abs / bound, worst_index=row * ell + col + 1,
         all_within=max_abs <= bound + 1e-9)
 
 
@@ -266,7 +272,7 @@ class SSetReport:
     restricted_to_divisors_of: int | None
 
 
-def verify_s_set(m: Modulus | None = None) -> SSetReport:
+def verify_s_set(q: int | None = None) -> SSetReport:
     """Recompute the quarter bound on the eighteen exceptional conductors.
 
     For each Q, maximizes Re(sum over units v mod Q of psi(v^2+v+1)) over
@@ -277,15 +283,17 @@ def verify_s_set(m: Modulus | None = None) -> SSetReport:
     so attainment is detected by integer rounding of 4 times the sum
     (tolerance 1e-9 rejects, exact rounding accepts).
 
-    Passing a Modulus restricts the report to the conductors dividing q,
-    as a reporting aid; it does not change any value.
+    Passing q (1 <= q < 2^63, else OutOfRangeError) restricts the report
+    to the conductors dividing q, as a reporting aid; it changes no value
+    and builds no modulus of q, only each Modulus(Q) in turn.
     """
     conductors = sorted(EXCEPTIONAL_CONDUCTORS)
-    if m is not None:
-        conductors = [Q for Q in conductors if m.q % Q == 0]
+    if q is not None:
+        q = _require_modulus_range(q)
+        conductors = [Q for Q in conductors if q % Q == 0]
     rows = []
     for Q in conductors:
-        mq = shared_modulus(Q)
+        mq = Modulus(Q)
         sums = _unit_value_transform(mq, SIGMA_AT_PRIME_SQUARE)
         primitive = mq.character_grid()[2] == Q
         best = float(sums.real[primitive].max())
@@ -303,7 +311,7 @@ def verify_s_set(m: Modulus | None = None) -> SSetReport:
         global_max=global_max,
         within_quarter=all(r.normalized <= 0.25 + 1e-9 for r in rows),
         attaining=tuple(r.conductor for r in rows if r.attains_quarter),
-        restricted_to_divisors_of=None if m is None else m.q)
+        restricted_to_divisors_of=q)
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,9 @@ an argument out of range, such as a modulus q >= 2^63 (one line on
 stderr), 3 a resource budget was exceeded.  The memory budget defaults
 to 2·10⁹ bytes and can be overridden by --memory-budget or the
 SIGMALAB_MEMORY_BUDGET environment variable (flag wins) on the
-subcommands that read it: all but weil-check, g-one, lift-count and
-curve-count, which check their tables against the fixed default.  Each
-modulus prices its own tables in bytes against the budget (Modulus).
+subcommands that read it: all but verify-s-set, weil-check, g-one,
+lift-count and curve-count, which check their tables against the fixed
+default.  Each modulus prices its own tables in bytes (Modulus).
 """
 
 from __future__ import annotations
@@ -436,8 +436,7 @@ def _cmd_character_table(args: argparse.Namespace) -> int:
 # --------------------------------------------------------- verify-s-set
 
 def _cmd_verify_s_set(args: argparse.Namespace) -> int:
-    m = _modulus(args) if args.q is not None else None
-    report = verify_s_set(m)
+    report = verify_s_set(args.q)
     payload = {**vars(report), "rows": [vars(r) for r in report.rows]}
     _emit(args, payload, ["conductor", "denominator", "num_primitive",
                           "max_re_sum", "normalized", "attains_quarter"],
@@ -636,7 +635,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=_parse_int, default=None,
                    help="restrict to conductors dividing q")
     _add_common(p)
-    _add_budget(p)
     p.set_defaults(func=_cmd_verify_s_set)
 
     p = sub.add_parser("weil-check",

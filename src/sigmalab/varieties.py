@@ -193,11 +193,11 @@ def lift_count_mod_ell_squared(ell: int) -> int:
     At most 25 bytes per residue mod ℓ² are alive at once, in the
     distribution's build and again in the pairing (three int64 arrays),
     so 25·ℓ² bytes and the ufunc buffers are checked against
-    DEFAULT_MEMORY_BUDGET before any is allocated.
+    DEFAULT_MEMORY_BUDGET before any is allocated, or ℓ trial-divided.
     """
-    ell = _require_prime(ell, floor=5)
-    check_budget(25 * ell * ell + (1 << 17), DEFAULT_MEMORY_BUDGET,
+    check_budget(25 * max(int(ell), 0) ** 2 + (1 << 17), DEFAULT_MEMORY_BUDGET,
                  f"value tables mod {ell}^2")
+    ell = _require_prime(ell, floor=5)
     dist = _block_value_distribution(ell * ell, ell)
     return _product_pairs(dist, ell, 2, _lift_target(ell))
 
@@ -213,12 +213,12 @@ def curve_point_count(ell: int, which: str = "completed-square", w: int = 1) -> 
     The values are built in place and dropped once binned, so at most
     three int64 arrays over 𝔽_ℓ are alive at once, the histogram and the
     pairing's two; 24·ℓ bytes and the ufunc buffers are checked against
-    DEFAULT_MEMORY_BUDGET before any is allocated.
+    DEFAULT_MEMORY_BUDGET before any is allocated, or ℓ trial-divided.
     """
-    ell = _require_prime(ell, floor=2)
     if which not in ("completed-square", "sigma-product"):
         raise ValueError(f"which must be 'completed-square' or 'sigma-product', got {which!r}")
-    check_budget(24 * ell + (1 << 17), DEFAULT_MEMORY_BUDGET, f"value tables over F_{ell}")
+    check_budget(24 * int(ell) + (1 << 17), DEFAULT_MEMORY_BUDGET, f"value tables over F_{ell}")
+    ell = _require_prime(ell, floor=2)
     values = np.arange(ell, dtype=np.int64)
     if which == "completed-square":
         values *= values

@@ -21,7 +21,6 @@ from sigmalab import (
     build_modulus,
     character_with_conductor_count,
     enumerate_characters,
-    shared_modulus,
 )
 from sigmalab import characters
 from sigmalab._scan import check_budget
@@ -219,9 +218,24 @@ def test_root_of_unity_arithmetic():
     assert abs(z - cmath.exp(2j * math.pi * 5 / 6)) < 1e-15
 
 
-def test_shared_modulus_caches():
-    assert shared_modulus(91) is shared_modulus(91)
-    assert shared_modulus(91) == build_modulus(91)
+def test_modulus_equality_is_by_q():
+    """Each call builds its own Modulus; two of the same q compare and hash
+    equal."""
+    assert Modulus(91) is not build_modulus(91)
+    assert Modulus(91) == build_modulus(91) and hash(Modulus(91)) == hash(build_modulus(91))
+    assert Modulus(91) != Modulus(93)
+
+
+def test_primitive_root_lifts_past_a_wieferich_base():
+    """At ell = 40487 the least primitive root 5 has 5^(ell-1) = 1 mod ell^2,
+    so the root mod ell^2 is lifted to 5 + ell, of order phi(ell^2)."""
+    ell = 40_487
+    assert pow(5, ell - 1, ell * ell) == 1
+    g = characters._primitive_root_prime_power(ell, 2)
+    assert g == 40_492
+    phi = ell * (ell - 1)
+    for r, _ in characters.trial_factorization(phi):
+        assert pow(g, phi // r, ell * ell) != 1, r
 
 
 def test_modulus_validation():

@@ -7,6 +7,7 @@ re-derived on the fixed eighteen conductors.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -36,6 +37,8 @@ from sigmalab import (
     verify_s_set,
     weil_clz_check,
 )
+from sigmalab import charsums
+from sigmalab._scan import check_budget
 
 
 def literal_mean(chi, poly_vals, q: int) -> complex:
@@ -252,9 +255,24 @@ def test_verify_s_set_global():
 
 
 def test_verify_s_set_restricted():
-    report = verify_s_set(build_modulus(35))
+    report = verify_s_set(35)
     assert report.restricted_to_divisors_of == 35
     assert {r.conductor for r in report.rows} == {5, 7, 35}
+
+
+def test_verify_s_set_builds_no_modulus_of_q():
+    """A prime q near 10^9 restricts the report to no row, with nothing of
+    size q allocated; q outside 1 <= q < 2^63 is out of range."""
+    tracemalloc.start()
+    try:
+        report = verify_s_set(1_000_000_007)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.rows == () and report.within_quarter and peak < 10**6, peak
+    for q in (0, -1, 2**63):
+        with pytest.raises(OutOfRangeError, match="q must satisfy 1 <= q < 2\\^63"):
+            verify_s_set(q)
 
 
 def test_weil_bound_extremes():
@@ -281,6 +299,36 @@ def test_weil_check_prices_a_large_power():
     default budget."""
     with pytest.raises(ResourceBudgetError):
         weil_clz_check(5, 27)
+
+
+@pytest.mark.parametrize("ell, e", [(5, 8), (7, 7)])
+def test_weil_check_peak_within_price(monkeypatch, ell, e):
+    """The traced peak of a Weil check stays within the bytes it checks
+    against the budget, its modulus tables and value histogram, and at or
+    above 80% of them."""
+    prices = []
+    monkeypatch.setattr(charsums, "check_budget",
+                        lambda need, *rest: prices.append(need) or check_budget(need, *rest))
+    tracemalloc.start()
+    try:
+        weil_clz_check(ell, e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(prices) == 1 and 0.8 * prices[0] <= peak <= prices[0], (peak, prices)
+
+
+def test_weil_check_keeps_nothing():
+    """Its modulus is built for the call and freed with it: the traced
+    memory is back within 64 kB of where it started."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        weil_clz_check(5, 6)
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert kept < 1 << 16, kept
 
 
 def test_tables_align_with_single_calls():

@@ -11,6 +11,7 @@ import dataclasses
 import inspect
 import io
 import json
+import time
 import tracemalloc
 
 import numpy as np
@@ -208,13 +209,39 @@ def test_fixed_budget_commands_refuse_before_allocating(tmp_path, capsys, argv):
     assert err.startswith("sigmalab: resource budget exceeded:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["lift-count", "--ell", "9223372036854775783"], 3),
+    (["curve-count", "--ell", "9223372036854775783"], 3),
+    (["weil-check", "--ell", "9223372036854775783", "--e", "2"], 2),
+])
+def test_huge_prime_ell_is_refused_before_trial_division(tmp_path, capsys, argv, code):
+    """ell = 2^63 - 25 is prime, and trial-dividing it would not end: the
+    byte price of a lift or curve count, and the range of ell^e, are
+    checked first, so the refusal takes well under a second."""
+    start = time.perf_counter()
+    assert cli.main(argv + ["--output", str(tmp_path / "x.json")]) == code
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("sigmalab: ") and err.count("\n") == 1
+
+
+def test_verify_s_set_reads_only_q(tmp_path, capsys):
+    """verify-s-set builds only the conductor moduli: a q near 10^9 gives no
+    row and exits 0, and q = 0 is still out of range."""
+    code, raw = run(tmp_path, "verify-s-set", "--q", "1000000007")
+    doc = json.loads(raw)
+    assert code == 0 and doc["rows"] == [] and doc["within_quarter"]
+    assert cli.main(["verify-s-set", "--q", "0"]) == 2
+    assert capsys.readouterr().err == "sigmalab: q must satisfy 1 <= q < 2^63, got 0\n"
+
+
 def test_help_everywhere(capsys):
     """Every subcommand documents --format; only the four that may run the
     segment sieve take --workers, only those that read it take
     --memory-budget, and none takes --segment-length."""
     sieve_scans = {"census", "twisted-sum", "witness-even", "witness-sqfree"}
-    budgeted = sieve_scans | {"rho-table", "eta-table", "verify-s-set", "lsd-scan",
-                              "v-count", "prime-recip"}
+    budgeted = sieve_scans | {"rho-table", "eta-table", "lsd-scan", "v-count",
+                              "prime-recip"}
     for sub in ("census", "twisted-sum", "rho-table", "eta-table",
                 "verify-s-set", "weil-check", "lsd-scan", "g-one", "v-count",
                 "lift-count", "curve-count", "witness-even", "witness-sqfree",
@@ -316,6 +343,7 @@ def test_exit_code_2_on_bad_pk_threshold(capsys, command, flags):
 
 @pytest.mark.parametrize("x, q, k, threshold", [
     (20_000, 101, None, None),
+    (20_000, 20_011, None, None),  # phi(q) = 20010 classes: more than one chunk
     (30_000, 1009, 2, 100),
     (50, 1000, 4, 1000),  # every class empty
     (100, 1, None, None),
