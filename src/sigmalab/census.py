@@ -29,9 +29,8 @@ larger inputs, x < 1, q < 1 and a worker count below 1 with
 OutOfRangeError; then the engine's tables and the primes ≤ √x are
 priced against the budget before any is built.  The sieve runs
 DEFAULT_SEGMENT_LENGTH segments and adds each one's classes into one
-int64 total under a lock, as a bincount when the segment admits at
-least q integers, else with np.add.at: exact in any order, so the same
-for any worker count, in about 8·q bytes plus O(workers·segment).  The
+int64 total in place (np.add.at) under a lock: exact in any order, so
+the same for any worker count, in 8·q bytes plus O(workers·segment).  The
 sublinear engine holds about three 2√x × φ(q)·(k + 1) int64 tables.
 The unit classes are then compacted into the front of the total in
 place, and the report's counts are a read-only mapping over it.
@@ -295,8 +294,8 @@ def _class_totals(x: int, m: Modulus, f: CensusFilter, workers: int,
     segments or workers) when x ≥ 2¹⁶, φ(q)·(1 + (k + 1)·α(q)) is small
     against x^(1/4)·ln x and the tables fit budget bytes.  Else the sieve
     runs once its price fits: 8·q bytes of totals, the primes ≤ √x, and per
-    worker the kernel's arrays, a filtered σ and its mask, a bincount if a
-    segment can admit q integers and 128 KiB of ufunc buffers."""
+    worker the kernel's arrays, a filtered σ and its mask and 128 KiB of
+    ufunc buffers."""
     plan(x, m.q, workers)
     grades, threshold = _grading(f)
     if _sublinear.preferred(x, m, grades, threshold, budget):
@@ -304,8 +303,7 @@ def _class_totals(x: int, m: Modulus, f: CensusFilter, workers: int,
                                        threshold, f.kind == "coprime-only")[-1]
     seg = min(DEFAULT_SEGMENT_LENGTH, x)
     per_int = kernel_bytes(x + 1, f.kind == "pk-threshold") + 9 * (f.kind != "all")
-    need = (8 * m.q + workers * (8 * m.q * (seg >= m.q) + per_int * seg + (1 << 17))
-            + prime_table_bytes(math.isqrt(x)))
+    need = 8 * m.q + workers * (per_int * seg + (1 << 17)) + prime_table_bytes(math.isqrt(x))
     check_budget(need, budget, "census sieve")
     return _sieve_totals(x, m, f, primes_up_to(math.isqrt(x)), workers)
 
@@ -313,10 +311,9 @@ def _class_totals(x: int, m: Modulus, f: CensusFilter, workers: int,
 def _sieve_totals(x: int, m: Modulus, f: CensusFilter, primes: np.ndarray,
                   workers: int) -> np.ndarray:
     """_class_totals by the segment kernel over [1, x], walking the primes ≤ √x.
-    Every segment folds into the one total under a lock: one per integer
-    in place (np.add.at) when it admits fewer integers than q, else as a
-    q-length bincount, so at most `workers` such parts are alive at once.
-    The sum is exact in any order, hence the same for any workers."""
+    Every segment adds its filtered σ mod q into the one total in place
+    (np.add.at) under a lock, so no q-length part is ever built.  The sum
+    is exact in any order, hence the same for any workers."""
     q = m.q
     threshold = f.threshold if f.kind == "pk-threshold" else None
 
@@ -330,13 +327,8 @@ def _sieve_totals(x: int, m: Modulus, f: CensusFilter, primes: np.ndarray,
             sig = sig[_coprime_mask(lo, hi, m)]
         elif f.kind == "pk-threshold":
             sig = sig[seg.large >= f.k]
-        if sig.shape[0] < q:
-            with fold:
-                np.add.at(totals, sig, 1)
-            return
-        part = np.bincount(sig, minlength=q)
         with fold:
-            np.add(totals, part, out=totals)
+            np.add.at(totals, sig, 1)
 
     map_segments(1, x + 1, DEFAULT_SEGMENT_LENGTH, one_segment, workers)
     for ell, _ in m.factorization:

@@ -294,7 +294,6 @@ class Modulus:
         self._basis: UnitGroupBasis | None = None
         self._unit_mask: np.ndarray | None = None
         self._units: np.ndarray | None = None
-        self._unit_dlog_index: np.ndarray | None = None
 
     def __repr__(self) -> str:
         return f"Modulus({self.q})"
@@ -350,15 +349,13 @@ class Modulus:
         if w.shape != (self.q,):
             raise ValueError(f"weights must have shape ({self.q},), got {w.shape}")
         basis = self.basis
-        if self._unit_dlog_index is None:
-            # flat grid index of each unit, the same mixed radix as .index
-            units = self.units
-            idx = np.zeros(units.shape[0], dtype=np.int64)
-            for g, dlog in zip(basis.generators, basis.dlogs):
-                idx = idx * g.order + dlog[units % g.prime_power]
-            self._unit_dlog_index = idx
+        units = self.units
+        # flat grid index of each unit, the same mixed radix as .index
+        idx = np.zeros(units.shape[0], dtype=np.int64)
+        for g, dlog in zip(basis.generators, basis.dlogs):
+            idx = idx * g.order + dlog[units % g.prime_power]
         grid = np.zeros(self.phi, dtype=np.float64)
-        grid[self._unit_dlog_index] = w[self.units]
+        grid[idx] = w[units]
         shape = tuple(g.order for g in basis.generators) or (1,)
         return np.fft.ifftn(grid.reshape(shape)).reshape(-1) * self.phi
 

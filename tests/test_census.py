@@ -133,18 +133,15 @@ KERNEL_BYTES = 32 * L
 
 @pytest.mark.parametrize("x, q, workers, bound", [
     pytest.param(3 * L, 2_000_003, 2, 8 * 2_000_003 + 2 * KERNEL_BYTES, id="sparse"),
-    pytest.param(4 * L, L - 3, 1, 8 * (L - 3) + 1 * (KERNEL_BYTES + 8 * (L - 3)),
-                 id="dense-1"),
-    pytest.param(4 * L, L - 3, 2, 8 * (L - 3) + 2 * (KERNEL_BYTES + 8 * (L - 3)),
-                 id="dense-2"),
+    pytest.param(4 * L, L - 3, 1, 8 * (L - 3) + 1 * KERNEL_BYTES, id="dense-1"),
+    pytest.param(4 * L, L - 3, 2, 8 * (L - 3) + 2 * KERNEL_BYTES, id="dense-2"),
 ])
 def test_class_totals_memory_bounded_by_workers(x, q, workers, bound):
     """Segments fold into one total, so the peak grows with the worker
     count and not with the number of segments (3 sparse, 4 dense): the
-    total, plus each worker's kernel arrays.  Sparse: q exceeds the segment
-    length and every segment folds in place, with no q-length part.
-    Dense: each worker also holds one q-length bincount at a time; a fold
-    that kept every segment's part would need 4·8·q on top."""
+    total, plus each worker's kernel arrays, whether q exceeds the segment
+    length (sparse) or not (dense): every segment adds into the total in
+    place and no q-length part is built, which would add 8·q per worker."""
     m = build_modulus(q)
     m.unit_mask  # build the lazy table before tracing
     tracemalloc.start()
@@ -161,11 +158,9 @@ def sieve_census_need(x: int, q: int, kind: str, workers: int) -> int:
     """The sieve census's price below 2^31: the totals and the primes <=
     sqrt(x), and per worker the kernel's 29 bytes per integer of its segment,
     9 more for the filtered copy of sigma and its mask, 1 more for the
-    large-factor counts, an 8q-byte bincount when a segment can admit q
-    integers, and 128 KiB of ufunc buffers and small temporaries."""
-    seg = min(L, x)
+    large-factor counts, and 128 KiB of ufunc buffers and small temporaries."""
     per_int = 29 + 9 * (kind != "all") + (kind == "pk-threshold")
-    return (8 * q + workers * (8 * q * (seg >= q) + per_int * seg + (1 << 17))
+    return (8 * q + workers * (per_int * min(L, x) + (1 << 17))
             + prime_table_bytes(math.isqrt(x)))
 
 
@@ -223,9 +218,9 @@ def test_census_releases_kernel_arrays(workers, sieve_engine):
 
 
 def test_class_totals_sparse_fold_memory():
-    """When q exceeds the segment length every segment folds in place:
-    besides the total, no q-length part is built at all, only the two
-    workers' kernel arrays (a part would add 8·q > 30·L per worker)."""
+    """When q is several times the segment length, the in-place fold builds
+    no q-length part: besides the total, only the two workers' kernel
+    arrays are traced (a part would add 8·q > 30·L per worker)."""
     q = 4_000_037
     m = build_modulus(q)
     m.unit_mask  # build the lazy table before tracing
@@ -248,9 +243,9 @@ def _sequential_totals(x: int, m) -> np.ndarray:
 
 
 def test_sparse_and_dense_fold_agree():
-    """q one below, at and one above the segment length: full segments
-    take the bincount path for q <= length and the in-place path above,
-    and the last, shorter segment may take the other one."""
+    """q one below, at and one above the segment length: whether a full
+    segment can admit more integers than q or not, the in-place fold at 1,
+    2 and 8 workers equals one bincount of the sequential segment stream."""
     x = L + 5_000
     for q in (L - 1, L, L + 1):
         m = build_modulus(q)

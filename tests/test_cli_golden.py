@@ -28,7 +28,7 @@ GOLDEN = Path(__file__).parent / "golden"
 OUT = "{output}"
 
 CASES = {
-    # census: filters, both formats, dense and sparse folds, workers
+    # census: filters, both formats, q below and above the segment length, workers
     "census_q5": ["census", "--x", "1e5", "--q", "5"],
     "census_q5_csv": ["census", "--x", "1e5", "--q", "5", "--format", "csv"],
     "census_q101_pk": ["census", "--x", "1e5", "--q", "101", "--filter", "pk-threshold",
