@@ -10,12 +10,15 @@ and then _sublinear, not the kernel.
 Range and dtypes: on a segment lo ≤ n < hi the kernel holds n, the
 found part of n (a divisor of n) and the cofactor in int32 when
 hi ≤ 2³¹ − 1 and in int64 above; σ(P) = P + 1 ≤ hi for the leftover
-prime P fits the same width.  σ mod q and its factor buffer are int64.
-Each factor multiplied into an entry is a Horner value (c·p + 1) mod q,
-at most min(q − 1, σ(p^e)), or the leftover's rem + 1 ≤ σ(rem) with rem
-coprime to the found part, so an entry never exceeds σ(n) before the
-final reduction.  And σ(n) < n·∏_{p | n} p/(p − 1) ≤ top·∏ p/(p − 1)
-over the first ω_max(top) primes, which fits int64 for every segment
+prime P fits the same width.  Each factor multiplied into an entry of
+σ mod q is a Horner value (c·p + 1) mod q, at most min(q − 1, σ(p^e)),
+or the leftover's rem + 1 ≤ σ(rem) with rem coprime to the found part,
+so an entry never exceeds σ(n) before the final reduction.  And
+σ(n) < n·∏_{p | n} p/(p − 1) ≤ top·∏ p/(p − 1) over the first
+ω_max(top) primes (sigma_width).  That fits int32 for every segment
+top ≤ 351 302 974, where σ mod q and its factor buffer are int32, and
+the final reduction is skipped when q > 2³¹ − 1 > σ; above that they
+are int64.  It fits int64 for every segment
 top ≤ 1 279 319 449 414 816 639 ≈ 1.28·10¹⁸: there σ is reduced mod q
 once, at the end, whatever q is.  Above that switch every segment is
 int64 and q ≤ MAX_SCAN_Q < hi; σ(P) is reduced before it is multiplied
@@ -94,11 +97,31 @@ def prime_table_bytes(limit: int) -> int:
     return (limit + 1) // 2 + 8 * math.ceil(1.26 * limit / math.log(limit)) if limit > 1 else 0
 
 
+def _omega_max(top: int) -> int:
+    """The most distinct prime factors of any n ≤ top, top < 2⁶³."""
+    return sum(math.prod(_FIRST_PRIMES[:k]) <= top for k in range(1, 17))
+
+
+def _sigma_fits(top: int, limit: int) -> bool:
+    """Whether top·∏ p/(p − 1) over the first ω_max(top) primes, a strict
+    upper bound of σ(n) for every n ≤ top, is at most limit."""
+    first = _FIRST_PRIMES[: _omega_max(top)]
+    return top * math.prod(first) <= limit * math.prod(p - 1 for p in first)
+
+
+def sigma_width(hi: int) -> np.dtype:
+    """The dtype of scan_segment's σ mod q on a segment ending before hi:
+    int32 when σ(n) < 2³¹ for every n ≤ hi − 1, that is hi − 1 ≤ 351 302 974,
+    else int64."""
+    return np.dtype(np.int32 if _sigma_fits(hi - 1, _INT32_MAX) else np.int64)
+
+
 def kernel_bytes(hi: int, large: bool) -> int:
     """Bytes per integer of one thread's scan_segment arrays on segments ending
-    at or below hi: two int64, three of the kernel's width, the leftover mask
-    and, when large, the large-factor counts."""
-    return 17 + 3 * (4 if hi <= _INT32_MAX else 8) + large
+    at or below hi: σ and its factor buffer in sigma_width, n, its found part
+    and a spare in the kernel's width, the leftover mask and, when large,
+    the large-factor counts."""
+    return 1 + 2 * sigma_width(hi).itemsize + 3 * (4 if hi <= _INT32_MAX else 8) + large
 
 
 def plan(x: int, q: int = 1, workers: int = 1) -> None:
@@ -138,6 +161,8 @@ def _scratch(name: str, size: int, dtype: type) -> np.ndarray:
     have = _arrays.__dict__
     a = have.get(name)
     if a is None or a.shape[0] < size or a.dtype != dtype:
+        del a
+        have.pop(name, None)  # free the old array before its successor exists
         a = have[name] = np.empty(size, dtype=dtype)
     return a[:size]
 
@@ -177,11 +202,12 @@ def scan_segment(
 ) -> Segment:
     """One walk of the ascending primes ≤ √(hi − 1) over lo ≤ n < hi, lo ≥ 1.
 
-    Returns int64 σ(n) mod q; the int8 number of prime factors > above,
-    with multiplicity, if above is given; and the cofactor, n over its
-    part on the primes divided out.  σ and the count need every prime
-    ≤ √(hi − 1), and then the cofactor is 1 or a prime.  The cofactor is
-    int32 when hi ≤ 2³¹ − 1 and int64 above.
+    Returns σ(n) mod q, in sigma_width(hi): int32 when hi − 1 ≤ 351 302 974
+    and int64 above; the int8 number of prime factors > above, with
+    multiplicity, if above is given; and the cofactor, n over its part on
+    the primes divided out.  σ and the count need every prime ≤ √(hi − 1),
+    and then the cofactor is 1 or a prime.  The cofactor is int32 when
+    hi ≤ 2³¹ − 1 and int64 above.
 
     The returned arrays are views of the calling thread's kernel arrays,
     which every call reuses: they stay valid until the same thread's
@@ -198,7 +224,8 @@ def scan_segment(
     same at every q; above it σ(P) is reduced first, and each prime's
     view as well when (q − 1)^ω can leave int64.  n, the found part and
     the cofactor are held in the narrowest integer type that fits hi, so
-    the contiguous passes move half the bytes below 2³¹.  Cache-sized
+    the contiguous passes move half the bytes below 2³¹, and σ and its
+    factor buffer in the narrowest type that σ(n) fits.  Cache-sized
     segments with strided marking follow T. Oliveira e Silva's
     segmented sieve and primesieve.
     """
@@ -210,16 +237,15 @@ def scan_segment(
     if above is not None:
         large = _scratch("large", size, np.int8)
         large.fill(0)
-    sig = _scratch("sigma", size, np.int64)
-    sig.fill(1 % q)
-    buf = _scratch("factor", size, np.int64)
-    omega_max = sum(math.prod(_FIRST_PRIMES[:k]) <= top for k in range(1, 17))
     # No entry exceeds σ(n) before the final reduction, and σ(n) <
-    # top·∏ p/(p − 1) over the first ω_max primes: below about
-    # 1.28·10¹⁸ that fits int64 whatever q is.
-    first = _FIRST_PRIMES[:omega_max]
-    exact = top * math.prod(first) <= _INT64_MAX * math.prod(p - 1 for p in first)
-    reduce_each = not exact and (q - 1) ** omega_max > _INT64_MAX
+    # top·∏ p/(p − 1) over the first ω_max primes: up to 351 302 974 that
+    # fits int32, and below about 1.28·10¹⁸ int64, whatever q is.
+    sig = _scratch("sigma", size, sigma_width(hi))
+    sig.fill(1 % q)
+    buf = _scratch("factor", size, sig.dtype)
+    narrow = sig.dtype == np.int32
+    exact = _sigma_fits(top, _INT64_MAX)
+    reduce_each = not exact and (q - 1) ** _omega_max(top) > _INT64_MAX
     rem = _scratch("cofactor", size, width)
     _fill_range(rem, lo)
     acc = _scratch("found", size, width)
@@ -264,7 +290,8 @@ def scan_segment(
     if not exact:
         _reduce(sig_p, q, acc)
     sig *= sig_p
-    _reduce(sig, q, buf)
+    if not narrow or q <= _INT32_MAX:  # else σ < 2³¹ ≤ q is reduced already
+        _reduce(sig, q, buf)
     if large is not None:
         np.greater(rem, max(above, 1), out=mask)
         large += mask

@@ -7,7 +7,7 @@ int64 totals, as _sublinear.preferred picks: for small φ(q) the Lucy +
 min_25 engine of _sublinear (x = 10⁷ in about 0.02 s at q = 5), else
 the segment sieve, which streams [1, x] through the one segment kernel,
 _scan.scan_segment, in strided prime-power marking with no per-n
-factorization (x = 10⁷ in about 0.4 s on one worker, at any q).
+factorization (x = 10⁷ in about 0.3 s on one worker, at any q).
 
 Filters restrict which n enter the census:
 
@@ -51,7 +51,7 @@ import numpy as np
 from . import _sublinear
 from ._scan import (DEFAULT_MEMORY_BUDGET, DEFAULT_SEGMENT_LENGTH, check_budget,
                     kernel_bytes, map_segments, plan, prime_table_bytes, primes_up_to,
-                    release_scratch, scan_segment, segment_bounds)
+                    release_scratch, scan_segment, segment_bounds, sigma_width)
 from .characters import DirichletCharacter, Modulus
 from .charsums import PolynomialSpec
 from .errors import DegenerateCensusError, OutOfRangeError, UnsupportedModulusError
@@ -266,7 +266,7 @@ def iter_sigma_segments(
         for lo, hi in segment_bounds(1, x + 1, DEFAULT_SEGMENT_LENGTH):
             seg = scan_segment(lo, hi, primes, q=q, above=threshold)
             cnt = None if threshold is None else seg.large.astype(np.int64)
-            yield lo, hi, seg.sigma.copy(), cnt
+            yield lo, hi, seg.sigma.astype(np.int64), cnt
     finally:
         release_scratch()
 
@@ -302,7 +302,8 @@ def _class_totals(x: int, m: Modulus, f: CensusFilter, workers: int,
         return _sublinear.class_totals(x, m, primes_up_to(math.isqrt(x)), grades,
                                        threshold, f.kind == "coprime-only")[-1]
     seg = min(DEFAULT_SEGMENT_LENGTH, x)
-    per_int = kernel_bytes(x + 1, f.kind == "pk-threshold") + 9 * (f.kind != "all")
+    filtered = sigma_width(x + 1).itemsize + 1  # a filtered σ and its mask
+    per_int = kernel_bytes(x + 1, f.kind == "pk-threshold") + filtered * (f.kind != "all")
     need = 8 * m.q + workers * (per_int * seg + (1 << 17)) + prime_table_bytes(math.isqrt(x))
     check_budget(need, budget, "census sieve")
     return _sieve_totals(x, m, f, primes_up_to(math.isqrt(x)), workers)

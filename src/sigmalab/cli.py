@@ -10,11 +10,12 @@ segment sieve, changes wall time only, never bytes.  Numeric flags
 accept scientific notation (--x 1e7), but not nan, ±inf or 1e400.
 
 JSON output is json.dumps(sort_keys=True, indent=2) of the payload, but
-two kinds of payload value are written by templates at a placeholder
-instead, with the same bytes: census's ClassCounts, one line per class,
-and the rows of rho-table and eta-table, one %-template per row over the
-flat tuple of its fields, all read from arrays (Modulus.character_grid
-and the character transform) rather than from per-character objects.
+two kinds of payload value are written at a placeholder instead, with
+the same bytes: census's ClassCounts, one line per class from arrays of
+digits, and the rows of rho-table and eta-table, one %-template per row
+over the flat tuple of its fields, all read from arrays
+(Modulus.character_grid and the character transform) rather than from
+per-character objects.
 
 Exit codes: 0 success, 1 a verification-style subcommand found a
 violation (weil-check, verify-s-set, witness mismatch), 2 bad usage or
@@ -161,9 +162,43 @@ def _config_echo(args: argparse.Namespace) -> dict[str, Any]:
     return echo
 
 
-# One line of a ClassCounts payload value in JSON, and the lines per write.
-_COUNTS_LINE = '    "%d": %d'
-_COUNTS_CHUNK = 1 << 14
+# A ClassCounts line in JSON is _COUNTS_HEAD, the key, _COUNTS_MID and the
+# value; lines per write; and 10^1 ... 10^17, which count a key's digits.
+_COUNTS_HEAD = np.frombuffer(b',\n    "', np.uint8)
+_COUNTS_MID = np.frombuffer(b'": ', np.uint8)
+_COUNTS_CHUNK = 1 << 16
+_POWERS_OF_TEN = 10 ** np.arange(1, 18, dtype=np.int64)
+
+
+def _decimal_rows(rows: np.ndarray, a: np.ndarray) -> None:
+    """Fill the (width, n) uint8 rows with the integers a in ASCII decimal,
+    one per column, right-aligned: NUL before the first character and '-'
+    before the digits of a negative one.  width must hold the longest."""
+    neg = a < 0
+    rest = a.astype(np.uint64)
+    np.negative(rest, out=rest, where=neg)  # |a|, even for -2^63
+    if rest.max() <= np.iinfo(np.uint32).max:  # divides several times faster
+        rest = rest.astype(np.uint32)
+    tens = np.empty_like(rest)
+    for j, row in enumerate(rows[::-1]):  # row j from the right: digit j
+        np.floor_divide(rest, 10, out=tens)
+        np.copyto(row, rest - tens * 10 + 48, casting="unsafe")
+        if j:
+            row *= rest != 0
+        rest, tens = tens, rest
+    if neg.any():
+        used = np.count_nonzero(rows, axis=0)
+        cols = np.flatnonzero(neg)
+        rows[rows.shape[0] - 1 - used[cols], cols] = ord("-")
+
+
+def _string_order(keys: np.ndarray) -> np.ndarray:
+    """The permutation that puts keys, 0 <= k < 10^18, in the order of their
+    decimal strings: by the digits padded on the right to a common width,
+    then by length, so "1" < "10" < "100" < "11" < "2".  Ten times faster
+    than sorting keys.astype(str)."""
+    extra = np.searchsorted(_POWERS_OF_TEN, keys, side="right")  # digits after the first
+    return np.lexsort((extra, keys * 10 ** (int(extra.max()) - extra)))
 
 
 def _write_counts(stream, counts: ClassCounts) -> None:
@@ -171,25 +206,32 @@ def _write_counts(stream, counts: ClassCounts) -> None:
     json.dumps(sort_keys=True, indent=2) would at the top level of the
     document, so a map over millions of classes never becomes a dict.
 
-    The keys (residues, 0 <= k < 10^18) go in the order of their decimal
-    strings: by the digits padded on the right to a common width, then by
-    length, so "1" < "10" < "100" < "11" < "2".  Ten times faster than
-    sorting keys.astype(str)."""
+    The keys go in the order of their decimal strings (_string_order).
+    Each chunk of lines is a (width, lines) uint8 array of the lines'
+    constant bytes and the NUL-led digits of key and value
+    (_decimal_rows); read line by line without its NULs it is the chunk's
+    text.  So no Python object is made per class, and above the order
+    the memory is O(chunk)."""
     keys, values = counts.key_array, counts.value_array
     if keys.size == 0:
         stream.write("{}")
         return
-    digits = np.ones(keys.shape, np.int64)
-    for power in range(1, 18):
-        digits += keys >= 10**power
-    order = np.lexsort((digits, keys * 10 ** (int(digits.max()) - digits)))
+    order = _string_order(keys)
+    head, mid = _COUNTS_HEAD.shape[0], _COUNTS_MID.shape[0]
     stream.write("{\n")
     for start in range(0, order.shape[0], _COUNTS_CHUNK):
         idx = order[start : start + _COUNTS_CHUNK]
-        pairs = np.stack((keys[idx], values[idx]), axis=1).ravel()
-        if start:
-            stream.write(",\n")
-        stream.write(",\n".join([_COUNTS_LINE] * idx.shape[0]) % tuple(pairs.tolist()))
+        k, v = keys[idx], values[idx]
+        kw, vw = (max(len(str(a.min())), len(str(a.max()))) for a in (k, v))
+        block = np.empty((head + kw + mid + vw, idx.shape[0]), np.uint8)
+        block[:head] = _COUNTS_HEAD[:, None]
+        _decimal_rows(block[head : head + kw], k)
+        block[head + kw : head + kw + mid] = _COUNTS_MID[:, None]
+        _decimal_rows(block[head + kw + mid :], v)
+        text = block.T.ravel()
+        text = text[text != 0]
+        # The first line of the map follows "{\n", not ",\n".
+        stream.write(text[0 if start else 2 :].tobytes().decode("ascii"))
     stream.write("\n  }")
 
 

@@ -125,10 +125,10 @@ def test_census_refuses_workers_below_one(workers):
         census(100, build_modulus(5), workers=workers)
 
 
-# The kernel arrays of one thread over a segment below 2^31: sigma and the
-# factor buffer in int64, n's cofactor, found part and spare in int32, the
-# leftover mask, 29 bytes per integer, and some slack.
-KERNEL_BYTES = 32 * L
+# The kernel arrays of one thread over a segment below 351 302 975: sigma,
+# the factor buffer, n's cofactor, found part and spare in int32, the
+# leftover mask, 21 bytes per integer, and some slack.
+KERNEL_BYTES = 24 * L
 
 
 @pytest.mark.parametrize("x, q, workers, bound", [
@@ -155,11 +155,12 @@ def test_class_totals_memory_bounded_by_workers(x, q, workers, bound):
 
 
 def sieve_census_need(x: int, q: int, kind: str, workers: int) -> int:
-    """The sieve census's price below 2^31: the totals and the primes <=
-    sqrt(x), and per worker the kernel's 29 bytes per integer of its segment,
-    9 more for the filtered copy of sigma and its mask, 1 more for the
-    large-factor counts, and 128 KiB of ufunc buffers and small temporaries."""
-    per_int = 29 + 9 * (kind != "all") + (kind == "pk-threshold")
+    """The sieve census's price below 351 302 975, where sigma is int32: the
+    totals and the primes <= sqrt(x), and per worker the kernel's 21 bytes
+    per integer of its segment, 5 more for the filtered copy of sigma and its
+    mask, 1 more for the large-factor counts, and 128 KiB of ufunc buffers
+    and small temporaries."""
+    per_int = 21 + 5 * (kind != "all") + (kind == "pk-threshold")
     return (8 * q + workers * (per_int * min(L, x) + (1 << 17))
             + prime_table_bytes(math.isqrt(x)))
 

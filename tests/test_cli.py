@@ -391,6 +391,64 @@ def test_int_map_matches_json_dumps(mapping):
     assert "{\n  \"m\": " + buf.getvalue() + "\n}" == want
 
 
+def _written_counts(keys, values) -> str:
+    buf = io.StringIO()
+    cli._write_counts(buf, sigmalab.ClassCounts(np.array(keys, np.int64),
+                                                np.array(values, np.int64)))
+    return buf.getvalue()
+
+
+# Three and a half chunks of keys, every third integer.
+MANY_KEYS = range(3, 3 * (7 * cli._COUNTS_CHUNK // 2), 3)
+
+
+@pytest.mark.parametrize("keys, values", [
+    pytest.param([0, 10**18 - 1], [1, 2], id="widest-keys"),
+    pytest.param([0, 1, 2, 3, 5], [0, 2**31, 2**63 - 1, -7, -2**63], id="extreme-values"),
+    pytest.param(list(MANY_KEYS), [k * 7919 % 100_003 - 50_000 for k in MANY_KEYS],
+                 id="three-chunks"),
+])
+def test_write_counts_matches_json_dumps(keys, values):
+    """The digit-array writer lays out keys and values of every width and
+    sign as json.dumps does, across chunk boundaries."""
+    got = _written_counts(keys, values)
+    want = json.dumps({str(k): v for k, v in zip(keys, values)}, sort_keys=True, indent=2)
+    assert got == want.replace("\n", "\n  ")
+
+
+def test_write_counts_memory_is_chunked(tmp_path):
+    """Writing about 10^6 classes to a file holds, above the key order that
+    the sort leaves, O(chunk) bytes: under 16 MB, where the whole text alone
+    would take 20 MB."""
+    q = 999_983
+    keys = np.arange(1, q, dtype=np.int64)
+    counts = sigmalab.ClassCounts(keys, keys * 7 % 100_003)
+
+    class Stream:
+        held = None
+
+        def __init__(self, f):
+            self.f = f
+
+        def write(self, text):
+            if self.held is None:  # the sort is done: only its order is held
+                self.held = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+            self.f.write(text)
+
+    with open(tmp_path / "counts.json", "w") as f:
+        stream = Stream(f)
+        tracemalloc.start()
+        try:
+            cli._write_counts(stream, counts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert stream.held <= 8 * q + (1 << 16)
+    assert peak - stream.held < 16 * 2**20
+    assert (tmp_path / "counts.json").stat().st_size > 20 * 10**6
+
+
 def _fraction_doc(value):
     return {"numerator": value.numerator, "denominator": value.denominator,
             "float": float(value)}

@@ -1,7 +1,8 @@
 """The one segment kernel, scan_segment, against oracles that never call it:
 FactorSieve.factorize + sigma_mod + kth_largest_prime_factor below 10^6, a
 segmented trial division in Python integers near 10^12, across the switch
-near 1.28*10^18 above which sigma(n) may leave int64, and at the top of the
+near 3.5*10^8 above which sigma(n) may leave int32 and the switch near
+1.28*10^18 above which it may leave int64, and at the top of the
 int64 range.  The rough Omega-histogram and rough count, which run the
 sublinear engine, against the same factorizations and brute force.  Also
 the int64 range guard of every scan entry point."""
@@ -75,11 +76,17 @@ def large_count(f: Factorization, t: int) -> int:
     return k
 
 
+# The largest segment top at which sigma(n) < top * prod p/(p - 1) over the
+# first omega_max(top) primes still fits int32: sigma mod q is int32 up to it.
+SIGMA_INT32_TOP = 351_302_974
+
+
 def check_sigma(seg, facts, hi, q, t):
     """With every prime up to sqrt(hi - 1) walked, the cofactor is the one
-    prime factor above that root, or 1."""
+    prime factor above that root, or 1.  sigma is int32 exactly when
+    hi - 1 <= SIGMA_INT32_TOP."""
     root = math.isqrt(hi - 1)
-    assert seg.sigma.dtype == np.int64
+    assert seg.sigma.dtype == (np.int32 if hi - 1 <= SIGMA_INT32_TOP else np.int64)
     assert seg.sigma.tolist() == [sigma_mod(f, q) for f in facts]
     if t is not None:
         assert seg.large.tolist() == [large_count(f, t) for f in facts]
@@ -94,6 +101,45 @@ def test_sigma_and_large_counts_match_factorize(sieve_million, primes_million, l
     hi = lo + size
     seg = scan_segment(lo, hi, primes_million, q=q, above=t)
     check_sigma(seg, [sieve_million.factorize(n) for n in range(lo, hi)], hi, q, t)
+
+
+@settings(max_examples=15, deadline=None)
+@given(lo=st.integers(1, 10**6 - 3_000), size=st.integers(1, 3_000),
+       q=st.integers(2**31 - 10, MAX_SCAN_Q), t=thresholds)
+def test_narrow_sigma_with_q_beyond_int32(sieve_million, primes_million, lo, size, q, t):
+    """sigma < 2^31 <= q: the int32 sigma skips its final reduction, which
+    could not divide by such a q, and is still sigma(n) itself."""
+    hi = lo + size
+    seg = scan_segment(lo, hi, primes_million, q=q, above=t)
+    check_sigma(seg, [sieve_million.factorize(n) for n in range(lo, hi)], hi, q, t)
+
+
+@settings(max_examples=20, deadline=None)
+@given(top=st.integers(SIGMA_INT32_TOP - 2_000, SIGMA_INT32_TOP + 2_000),
+       size=st.integers(1, 2_000),
+       q=st.one_of(st.integers(1, 10**7), st.integers(2**31 - 10, MAX_SCAN_Q)),
+       t=thresholds)
+def test_sigma_across_int32_sigma_switch_matches_trial_division(primes_million, top, size,
+                                                                 q, t):
+    """Segments ending near SIGMA_INT32_TOP or straddling it: sigma is int32
+    exactly when hi - 1 <= SIGMA_INT32_TOP, and equal to sigma_mod on both
+    sides."""
+    lo = top - size + 1
+    hi = top + 1
+    seg = scan_segment(lo, hi, primes_million, q=q, above=t)
+    check_sigma(seg, trial_factorizations(lo, hi, primes_million), hi, q, t)
+
+
+@pytest.mark.parametrize("q", [5, 2**31 - 1, MAX_SCAN_Q])
+def test_sigma_of_abundant_n_below_int32_sigma_switch(q):
+    """n = 2^3 * 3^3 * 5 * 7 * ... * 19 <= SIGMA_INT32_TOP has
+    sigma(n) = 1 741 824 000, above 2^30: the int32 sigma holds it
+    unreduced."""
+    n = 2**3 * 3**3 * 5 * 7 * 11 * 13 * 17 * 19
+    assert n <= SIGMA_INT32_TOP
+    seg = scan_segment(n, n + 1, primes_up_to(math.isqrt(n)), q=q)
+    assert seg.sigma.dtype == np.int32
+    assert seg.sigma.tolist() == [1_741_824_000 % q]
 
 
 @settings(max_examples=15, deadline=None)
@@ -229,4 +275,5 @@ def test_sigma_stream_refuses_q_beyond_int64_products():
     with pytest.raises(OutOfRangeError):
         next(iter_sigma_segments(100, MAX_SCAN_Q + 1))
     _, _, sig, _ = next(iter_sigma_segments(100, MAX_SCAN_Q))
+    assert sig.dtype == np.int64  # the stream widens the kernel's int32
     assert sig.tolist() == [sum(d for d in range(1, n + 1) if n % d == 0) for n in range(1, 101)]
