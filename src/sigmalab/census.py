@@ -52,7 +52,7 @@ from . import _sublinear
 from ._scan import (DEFAULT_MEMORY_BUDGET, DEFAULT_SEGMENT_LENGTH, check_budget,
                     kernel_bytes, map_segments, plan, prime_table_bytes, primes_up_to,
                     release_scratch, scan_segment, segment_bounds, sigma_width)
-from .characters import DirichletCharacter, Modulus
+from .characters import DirichletCharacter, Modulus, _coprime_mask
 from .charsums import PolynomialSpec
 from .errors import DegenerateCensusError, OutOfRangeError, UnsupportedModulusError
 
@@ -271,15 +271,6 @@ def iter_sigma_segments(
         release_scratch()
 
 
-def _coprime_mask(lo: int, hi: int, m: Modulus) -> np.ndarray:
-    """Boolean array over lo..hi−1, true where gcd(n, q) = 1: the
-    multiples of each prime of q are struck out with one strided view."""
-    keep = np.ones(hi - lo, dtype=bool)
-    for ell, _ in m.factorization:
-        keep[-lo % ell :: ell] = False
-    return keep
-
-
 def _grading(f: CensusFilter) -> tuple[int, int]:
     """The engine's grades and threshold: k + 1 and t under pk-threshold."""
     return (f.k + 1, f.threshold) if f.kind == "pk-threshold" else (1, 0)
@@ -317,6 +308,7 @@ def _sieve_totals(x: int, m: Modulus, f: CensusFilter, primes: np.ndarray,
     is exact in any order, hence the same for any workers."""
     q = m.q
     threshold = f.threshold if f.kind == "pk-threshold" else None
+    primes_of_q = [ell for ell, _ in m.factorization]
 
     totals = np.zeros(q, dtype=np.int64)
     fold = threading.Lock()
@@ -325,7 +317,7 @@ def _sieve_totals(x: int, m: Modulus, f: CensusFilter, primes: np.ndarray,
         seg = scan_segment(lo, hi, primes, q=q, above=threshold)
         sig = seg.sigma
         if f.kind == "coprime-only":
-            sig = sig[_coprime_mask(lo, hi, m)]
+            sig = sig[_coprime_mask(lo, hi, primes_of_q)]
         elif f.kind == "pk-threshold":
             sig = sig[seg.large >= f.k]
         with fold:

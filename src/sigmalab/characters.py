@@ -67,6 +67,15 @@ def _require_modulus_range(q: int) -> int:
     return int(q)
 
 
+def _coprime_mask(lo: int, hi: int, primes) -> np.ndarray:
+    """Boolean array over lo..hi−1, true where n is divisible by none of the
+    primes: the multiples of each are struck out with one strided view."""
+    keep = np.ones(hi - lo, dtype=bool)
+    for ell in primes:
+        keep[-lo % ell :: ell] = False
+    return keep
+
+
 def _phi_prime_power(ell: int, e: int) -> int:
     return 1 if e == 0 else ell ** (e - 1) * (ell - 1)
 
@@ -262,19 +271,22 @@ class Modulus:
                      even q since the local factor at 2 vanishes.
     alpha_tilde(q) = prod over primes ell | q, ell = 1 mod 3, of (1 - 2/(ell-1)).
 
-    Both are exact fractions. Unit-group structures are built lazily, but
-    priced at once against memory_budget, at their peak: q bytes for the
-    unit mask, 4 per entry of each dlog table (ell^e per odd ell, 2·2^e
-    for 2^e with e >= 3, 4 for 4), and 61 per unit for the units, their
-    dlog index and one character_transform, in all .price bytes.  A q
-    outside 1 <= q < 2^63 raises OutOfRangeError; a q whose unit mask alone
-    is over budget is refused before it is factored, any other after.
+    Both are exact fractions. Unit-group structures are built lazily and
+    priced at their peak: q bytes for the unit mask, 4 per entry of each
+    dlog table (ell^e per odd ell, 2·2^e for 2^e with e >= 3, 4 for 4),
+    and 61 per unit for the units, their dlog index and one
+    character_transform, in all .price bytes.  The price is checked
+    against memory_budget just before the first of basis and unit_mask is
+    built, so a modulus used only for its factorization builds and checks
+    nothing more.  A q outside 1 <= q < 2^63 raises OutOfRangeError, and a
+    q above memory_budget, whose unit mask alone would not fit, is refused
+    before trial division, which might not end, factors it.
     """
 
     def __init__(self, q: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> None:
         self.q = _require_modulus_range(q)
-        what = f"tables mod {self.q}"
-        check_budget(self.q, memory_budget, what)
+        check_budget(self.q, memory_budget, f"tables mod {self.q}")
+        self._memory_budget = memory_budget
         self.factorization = trial_factorization(self.q)
         phi = 1
         dlog_entries = 0
@@ -290,7 +302,6 @@ class Modulus:
         self.alpha = alpha
         self.alpha_tilde = alpha_tilde
         self.price = self.q + 4 * dlog_entries + 61 * phi
-        check_budget(self.price, memory_budget, what)
         self._basis: UnitGroupBasis | None = None
         self._unit_mask: np.ndarray | None = None
         self._units: np.ndarray | None = None
@@ -304,9 +315,15 @@ class Modulus:
     def __hash__(self) -> int:
         return hash(("Modulus", self.q))
 
+    def _check_price(self) -> None:
+        """Check .price against the budget, once: before the first table."""
+        if self._basis is None and self._unit_mask is None:
+            check_budget(self.price, self._memory_budget, f"tables mod {self.q}")
+
     @property
     def basis(self) -> UnitGroupBasis:
         if self._basis is None:
+            self._check_price()
             basis = _build_basis(self.factorization)
             order_product = 1
             for g in basis.generators:
@@ -323,10 +340,8 @@ class Modulus:
     @property
     def unit_mask(self) -> np.ndarray:
         if self._unit_mask is None:
-            mask = np.ones(self.q, dtype=bool)
-            for ell, _ in self.factorization:
-                mask[::ell] = False
-            self._unit_mask = mask
+            self._check_price()
+            self._unit_mask = _coprime_mask(0, self.q, [ell for ell, _ in self.factorization])
         return self._unit_mask
 
     @property
@@ -393,7 +408,8 @@ class Modulus:
 
 
 def build_modulus(q: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> Modulus:
-    """Construct the arithmetic environment mod q, priced against memory_budget."""
+    """Construct the arithmetic environment mod q, whose tables are priced
+    against memory_budget."""
     return Modulus(q, memory_budget)
 
 

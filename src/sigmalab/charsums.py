@@ -402,32 +402,29 @@ def _unit_value_transform(m: Modulus, F: PolynomialSpec) -> np.ndarray:
     return m.character_transform(hist)
 
 
-def rho_power_sum(m: Modulus, exponent: int = 2) -> float:
-    """sum over nonprincipal chi mod q of |rho_chi|^exponent (odd q).
+def _power_sum(m: Modulus, F: PolynomialSpec, exponent: int) -> float:
+    """sum over nonprincipal chi mod q of |(1/phi(q)) sum_v chi(F(v))|^exponent,
+    all from one character transform."""
+    if exponent < 1:
+        raise ValueError("exponent must be a positive integer")
+    averages = _unit_value_transform(m, F)[1:] / m.phi
+    return float(np.sum(np.abs(averages) ** exponent))
 
-    All rho_chi come from one character transform, as in rho_table.
-    """
+
+def rho_power_sum(m: Modulus, exponent: int = 2) -> float:
+    """sum over nonprincipal chi mod q of |rho_chi|^exponent (odd q)."""
     if m.q % 2 == 0:
         raise UnsupportedModulusError(
             f"rho power sums require an odd modulus, got {m.q}")
-    if exponent < 1:
-        raise ValueError("exponent must be a positive integer")
-    rho = _unit_value_transform(m, SIGMA_AT_PRIME)[1:] / m.phi
-    return float(np.sum(np.abs(rho) ** exponent))
+    return _power_sum(m, SIGMA_AT_PRIME, exponent)
 
 
 def eta_power_sum(m: Modulus, exponent: int = 3) -> float:
-    """sum over nonprincipal chi mod q of |eta_chi|^exponent (3 must not divide q).
-
-    All eta_chi come from one character transform, as in eta_table.
-    """
+    """sum over nonprincipal chi mod q of |eta_chi|^exponent (3 must not divide q)."""
     if m.q % 3 == 0:
         raise UnsupportedModulusError(
             f"eta power sums require gcd(q, 3) = 1, got q = {m.q}")
-    if exponent < 1:
-        raise ValueError("exponent must be a positive integer")
-    eta = _unit_value_transform(m, SIGMA_AT_PRIME_SQUARE)[1:] / m.phi
-    return float(np.sum(np.abs(eta) ** exponent))
+    return _power_sum(m, SIGMA_AT_PRIME_SQUARE, exponent)
 
 
 @dataclass(frozen=True)

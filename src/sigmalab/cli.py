@@ -20,12 +20,16 @@ per-character objects.
 Exit codes: 0 success, 1 a verification-style subcommand found a
 violation (weil-check, verify-s-set, witness mismatch), 2 bad usage or
 an argument out of range, such as a modulus q >= 2^63 (one line on
-stderr), 3 a resource budget was exceeded.  The memory budget defaults
-to 2·10⁹ bytes and can be overridden by --memory-budget or the
-SIGMALAB_MEMORY_BUDGET environment variable (flag wins) on the
-subcommands that read it: all but verify-s-set, weil-check, g-one,
-lift-count and curve-count, which check their tables against the fixed
-default.  Each modulus prices its own tables in bytes (Modulus).
+stderr), 3 a resource budget was exceeded.  The memory budget is a byte
+count, 2·10⁹ unless --memory-budget sets another, on the eight
+subcommands that read it: census, twisted-sum, rho-table, eta-table,
+lsd-scan, witness-even, witness-sqfree and prime-recip.  verify-s-set,
+weil-check, g-one, lift-count and curve-count check their tables against
+the fixed default, and v-count, which builds no table, caps its work at
+2.5·10⁸ unit-pair operations per block.  Each table is checked just
+before it is built: a modulus prices its tables when it builds the first
+(Modulus), so prime-recip, which reads only q's factorization, prices
+none of them.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ import cmath
 import csv
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from typing import Any, Iterable, Optional, Sequence
@@ -70,8 +73,6 @@ from .varieties import (
     overrep_witness_sqfree,
     v_count,
 )
-
-ENV_MEMORY_BUDGET = "SIGMALAB_MEMORY_BUDGET"
 
 
 def _finite(kind: type, text: str, bad: str) -> float | complex:
@@ -358,20 +359,11 @@ def _add_budget(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--memory-budget", type=_parse_int, default=None,
                         metavar="BYTES",
                         help="cap on internal table allocations "
-                             f"(default {DEFAULT_MEMORY_BUDGET}, env {ENV_MEMORY_BUDGET})")
+                             f"(default {DEFAULT_MEMORY_BUDGET})")
 
 
 def _budget(args: argparse.Namespace) -> int:
-    if args.memory_budget is not None:
-        return args.memory_budget
-    env = os.environ.get(ENV_MEMORY_BUDGET)
-    if env:
-        try:
-            return _parse_int(env)
-        except argparse.ArgumentTypeError:
-            raise ResourceBudgetError(
-                f"cannot parse {ENV_MEMORY_BUDGET}={env!r} as a byte count")
-    return DEFAULT_MEMORY_BUDGET
+    return DEFAULT_MEMORY_BUDGET if args.memory_budget is None else args.memory_budget
 
 
 def _modulus(args: argparse.Namespace) -> Modulus:
@@ -534,8 +526,8 @@ def _cmd_g_one(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------- counts
 
 def _cmd_v_count(args: argparse.Namespace) -> int:
-    m = _modulus(args)
-    result = v_count(m, args.w, args.arity, work_budget=_budget(args) // 8)
+    m = Modulus(args.q)
+    result = v_count(m, args.w, args.arity)
     _emit(args, {**vars(result), "phi": m.phi}, ["q", "w", "arity", "count"],
           f"unit tuples with product of v_j^2+v_j+1 hitting {result.w} mod {result.q}")
     return 0
@@ -721,7 +713,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", type=_parse_int, required=True)
     p.add_argument("--arity", type=_parse_int, choices=(2, 3), default=3)
     _add_common(p)
-    _add_budget(p)
     p.set_defaults(func=_cmd_v_count)
 
     p = sub.add_parser("lift-count",

@@ -134,10 +134,10 @@ class FactorSieve:
     """Smallest-prime-factor table for 2..limit, built in segments.
 
     The table is one uint32 per integer; construction walks fixed-length
-    segments so that the marking passes stay cache-resident. A memory budget
-    guards against accidentally huge tables. The limit and the budget are
-    checked at once, but the table is built on the first call that reads
-    it, so a sieve used only for its limit costs nothing.
+    segments so that the marking passes stay cache-resident. The limit is
+    checked at once; the table is built on the first call that reads it,
+    after its 4·(limit + 1) bytes are checked against memory_budget, so a
+    sieve used only for its limit costs and checks nothing more.
     """
 
     def __init__(self, limit: int, *, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> None:
@@ -145,8 +145,8 @@ class FactorSieve:
             raise ValueError("limit must be >= 2")
         if limit >= 2**32:
             raise OutOfRangeError("spf entries are uint32; limit must be < 2^32")
-        check_budget(4 * (limit + 1), memory_budget, f"spf table for limit {limit}")
         self.limit = int(limit)
+        self._memory_budget = memory_budget
         self._spf: np.ndarray | None = None
         self._primes: np.ndarray | None = None
 
@@ -154,6 +154,8 @@ class FactorSieve:
         """The spf table, built on the first call."""
         if self._spf is not None:
             return self._spf
+        check_budget(4 * (self.limit + 1), self._memory_budget,
+                     f"spf table for limit {self.limit}")
         base_primes = primes_up_to(math.isqrt(self.limit))
         spf = np.zeros(self.limit + 1, dtype=np.uint32)
         for lo, hi in segment_bounds(2, self.limit + 1, DEFAULT_SEGMENT_LENGTH):

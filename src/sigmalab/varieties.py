@@ -32,8 +32,8 @@ from typing import Optional
 import numpy as np
 
 from ._scan import DEFAULT_MEMORY_BUDGET, check_budget, plan, primes_up_to
-from .characters import (Modulus, _crt_pair, _power_table, _primitive_root_prime_power,
-                         _require_prime, build_modulus)
+from .characters import (Modulus, _coprime_mask, _crt_pair, _phi_prime_power, _power_table,
+                         _primitive_root_prime_power, _require_prime, build_modulus)
 from .census import CensusFilter, CensusReport, census
 from .errors import OutOfRangeError, ResourceBudgetError
 from .factor import Factorization, sigma_mod
@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 #: Work cap for one convolution block, in unit-pair operations.
-DEFAULT_WORK_BUDGET = 200_000_000
+DEFAULT_WORK_BUDGET = 250_000_000
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,8 @@ def _block_value_distribution(pp: int, ell: int) -> np.ndarray:
     per residue are alive: the values, the unit mask, the values at the
     units and the int64 bincount.
     """
+    unit = _coprime_mask(0, pp, (ell,))
     values = np.arange(pp, dtype=np.int64)
-    unit = values % ell != 0
     values *= values + 1
     values += 1
     values %= pp
@@ -120,19 +120,15 @@ def _convolve_block(
     return acc
 
 
-def v_count(
-    m: Modulus,
-    w: int,
-    arity: int = 3,
-    *,
-    work_budget: int = DEFAULT_WORK_BUDGET,
-) -> SolutionCount:
+def v_count(m: Modulus, w: int, arity: int = 3) -> SolutionCount:
     """Exact #{(v_1..v_arity) ∈ U_q^arity : ∏(v_j²+v_j+1) ≡ w (mod q)}.
 
     Splits by CRT into prime-power blocks; each block convolves the
     unit-value distribution of v²+v+1 with itself arity−1 times.  Work
-    is Σ φ(ℓ^e)² per extra factor, guarded by work_budget so that an
-    accidental huge prime power fails fast instead of thrashing.
+    is φ(ℓ^e)²·(arity−1) unit-pair operations per block; when that of
+    the largest block exceeds DEFAULT_WORK_BUDGET, ResourceBudgetError is
+    raised before any block is counted.  Only m's factorization is read,
+    so none of its tables is built or priced.
     """
     q = m.q
     w = int(w) % q if q > 1 else 0
@@ -142,17 +138,16 @@ def v_count(
         return SolutionCount(q=1, w=0, arity=arity, count=1)
     if math.gcd(w, q) != 1:
         raise OutOfRangeError(f"target w = {w} shares a factor with q = {q}")
+    ell, e = max(m.factorization, key=lambda block: _phi_prime_power(*block))
+    work = _phi_prime_power(ell, e) ** 2 * (arity - 1)
+    if work > DEFAULT_WORK_BUDGET:
+        raise ResourceBudgetError(f"block {ell}^{e} needs ~{work} unit-pair operations, "
+                                  f"cap is {DEFAULT_WORK_BUDGET}")
     total = 1
     for ell, e in m.factorization:
         pp = ell**e
-        phi_pp = pp // ell * (ell - 1)
-        if phi_pp * phi_pp * (arity - 1) > work_budget:
-            raise ResourceBudgetError(
-                f"block {ell}^{e} needs ~{phi_pp * phi_pp * (arity - 1)} "
-                f"unit-pair operations, budget is {work_budget}"
-            )
         dist = _block_value_distribution(pp, ell)
-        units = np.flatnonzero(np.arange(pp) % ell)
+        units = np.flatnonzero(_coprime_mask(0, pp, (ell,)))
         local = _convolve_block(dist, units, pp, arity)
         total *= int(local[w % pp])
         if total == 0:

@@ -33,10 +33,10 @@ from sigmalab._scan import (kernel_bytes, prime_table_bytes, primes_up_to, relea
                             scan_segment)
 from sigmalab.census import (
     ClassCounts,
-    _coprime_mask,
     _max_rel_deviation,
     _sieve_totals,
 )
+from sigmalab.characters import _coprime_mask
 from sigmalab.factor import DEFAULT_SEGMENT_LENGTH
 
 L = DEFAULT_SEGMENT_LENGTH  # the segment length of every sieve scan
@@ -260,7 +260,7 @@ def test_sparse_and_dense_fold_agree():
 @given(lo=st.integers(1, 10**12), size=st.integers(0, 3_000),
        q=st.integers(1, 10**7))
 def test_coprime_mask_matches_gcd(lo, size, q):
-    got = _coprime_mask(lo, lo + size, build_modulus(q))
+    got = _coprime_mask(lo, lo + size, [ell for ell, _ in build_modulus(q).factorization])
     want = np.gcd(np.arange(lo, lo + size, dtype=np.int64), q) == 1
     assert np.array_equal(got, want)
 

@@ -243,8 +243,9 @@ def test_modulus_validation():
         Modulus(0)
     with pytest.raises(OutOfRangeError):
         Modulus(-5)
+    m = Modulus(10**8)  # its tables are priced when the first is built
     with pytest.raises(ResourceBudgetError):
-        Modulus(10**8)
+        m.units
 
 
 def test_modulus_refuses_out_of_range_and_over_budget_q(monkeypatch):
@@ -263,7 +264,8 @@ def test_modulus_peak_within_price(monkeypatch, q):
     """Modulus prices its tables at their peak: with every cached table and
     one character_transform built, the traced peak (the weights are built
     before tracing) lies within the price it checks and reaches at least
-    80% of it.  The price refuses a budget one byte short."""
+    80% of it.  The tables build at a budget of the price, and the first
+    of them is refused at one byte short."""
     prices = []
     monkeypatch.setattr(characters, "check_budget",
                         lambda need, *rest: prices.append(need) or check_budget(need, *rest))
@@ -276,11 +278,12 @@ def test_modulus_peak_within_price(monkeypatch, q):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert prices == [q, prices[-1]]
-    assert 0.8 * prices[-1] <= peak <= prices[-1], (peak, prices)
-    Modulus(q, memory_budget=prices[-1])
+    price = prices[-1]
+    assert prices == [q, price] and price == m.price
+    assert 0.8 * price <= peak <= price, (peak, prices)
+    Modulus(q, memory_budget=price).units
     with pytest.raises(ResourceBudgetError):
-        Modulus(q, memory_budget=prices[-1] - 1)
+        Modulus(q, memory_budget=price - 1).units
 
 
 def test_unit_mask_matches_gcd():

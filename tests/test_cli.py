@@ -11,6 +11,7 @@ import dataclasses
 import inspect
 import io
 import json
+import math
 import time
 import tracemalloc
 
@@ -144,15 +145,22 @@ def test_exit_code_2_on_bad_usage(capsys):
     assert exc.value.code == 2
 
 
-def test_exit_code_3_on_budget(tmp_path, monkeypatch):
-    monkeypatch.setenv("SIGMALAB_MEMORY_BUDGET", "100")
-    code = cli.main(["census", "--x", "1e4", "--q", "5",
-                     "--output", str(tmp_path / "x.json")])
-    assert code == 3
-    # the flag overrides the environment
-    code, _ = run(tmp_path, "census", "--x", "1e4", "--q", "5",
-                  "--memory-budget", "1e9")
-    assert code == 0
+def test_exit_code_3_on_budget(monkeypatch, capsys):
+    """--memory-budget is the one source of the budget: too small a one
+    exits 3, and SIGMALAB_MEMORY_BUDGET, which nothing reads, changes
+    neither the exit code nor the bytes written."""
+    def runs():
+        out = []
+        for budget in (["--memory-budget", "100"], []):
+            code = cli.main(["census", "--x", "1e4", "--q", "5", *budget])
+            out.append((code, *capsys.readouterr()))
+        return out
+
+    want = runs()
+    assert [code for code, _, _ in want] == [3, 0]
+    for env in ("100", "abc"):
+        monkeypatch.setenv("SIGMALAB_MEMORY_BUDGET", env)
+        assert runs() == want
 
 
 def test_prime_recip_checks_budget_before_sieving(tmp_path, capsys):
@@ -190,6 +198,40 @@ def test_budget_reaches_the_scans(tmp_path, capsys):
     code, _ = run(tmp_path, "lsd-scan", "--beta", "0.5", "--Y", "7", "--x-grid", "1e4,1e6",
                   "--memory-budget", "1e6")
     assert code == 0
+
+
+def test_commands_that_build_no_table_of_q_answer_over_its_price(tmp_path):
+    """prime-recip reads only the factorization of q, and v-count only its
+    prime-power blocks, so neither is refused on the price of the tables
+    mod q that it never builds (66 000 137 bytes at q = 1000003)."""
+    code, raw = run(tmp_path, "prime-recip", "--q", "1000003", "--x", "1000",
+                    "--memory-budget", "1e7")
+    assert code == 0
+    assert json.loads(raw)["sum"] == sigmalab.prime_reciprocal_sum(
+        sigmalab.SIGMA_AT_PRIME, sigmalab.Modulus(1000003), 1000)
+    code, raw = run(tmp_path, "v-count", "--q", "1041537223", "--w", "2")  # 1009·1013·1019
+    assert code == 0
+    assert json.loads(raw)["count"] == math.prod(
+        sigmalab.v_count(sigmalab.Modulus(ell), 2).count for ell in (1009, 1013, 1019))
+
+
+@pytest.mark.parametrize("argv", [["census", "--x", "100"],
+                                  ["twisted-sum", "--x", "100", "--index", "1"],
+                                  ["rho-table"]])
+def test_over_budget_modulus_refuses_before_its_tables(tmp_path, capsys, argv):
+    """A modulus prices its tables when it builds the first: at q = 1000003
+    and a budget of 10^7 bytes, each command exits 3 with one stderr line,
+    and almost nothing is traced."""
+    tracemalloc.start()
+    try:
+        code = cli.main(argv + ["--q", "1000003", "--memory-budget", "1e7",
+                                "--output", str(tmp_path / "x.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and peak < 10**6, (code, peak)
+    assert capsys.readouterr().err == ("sigmalab: resource budget exceeded: tables mod 1000003 "
+                                       "would take about 66000137 bytes, budget is 10000000 bytes\n")
 
 
 @pytest.mark.parametrize("argv", [["lift-count", "--ell", "1000003"],
@@ -240,8 +282,7 @@ def test_help_everywhere(capsys):
     segment sieve take --workers, only those that read it take
     --memory-budget, and none takes --segment-length."""
     sieve_scans = {"census", "twisted-sum", "witness-even", "witness-sqfree"}
-    budgeted = sieve_scans | {"rho-table", "eta-table", "lsd-scan", "v-count",
-                              "prime-recip"}
+    budgeted = sieve_scans | {"rho-table", "eta-table", "lsd-scan", "prime-recip"}
     for sub in ("census", "twisted-sum", "rho-table", "eta-table",
                 "verify-s-set", "weil-check", "lsd-scan", "g-one", "v-count",
                 "lift-count", "curve-count", "witness-even", "witness-sqfree",

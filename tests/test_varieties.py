@@ -167,8 +167,18 @@ def test_v_count_validation():
         v_count(m, 3, 2)  # gcd(3, 15) > 1
     with pytest.raises(ValueError):
         v_count(m, 2, 4)
-    with pytest.raises(ResourceBudgetError):
-        v_count(build_modulus(9973), 1, 3, work_budget=10_000)
+    # The block mod 20011 needs 2·20010² ≈ 8.0·10⁸ unit-pair operations,
+    # over the cap: refused before the block mod 10007, within the cap, is
+    # counted in its 25 bytes per residue.
+    m = build_modulus(10007 * 20011)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceBudgetError, match="block 20011\\^1"):
+            v_count(m, 1, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**4, peak
 
 
 def brute_lift_count(ell: int) -> int:
