@@ -28,8 +28,8 @@ value fits when x ≤ MAX_SCAN_X and q ≤ MAX_SCAN_Q, and plan
 refuses the rest before any table is built.
 
 Reuse: each thread keeps one set of kernel arrays (σ, the factor
-buffer, n and its cofactor, the found part, a spare, the leftover
-mask and the large counts), grown on demand and reused by every
+buffer, n and its cofactor, the found part, the leftover mask and
+the large counts), grown on demand and reused by every
 segment it scans, so once the set has grown no segment allocates a
 segment-long array.  The arrays scan_segment returns are views of
 them, valid until the same thread's next scan_segment call.  map_segments drops the
@@ -118,10 +118,10 @@ def sigma_width(hi: int) -> np.dtype:
 
 def kernel_bytes(hi: int, large: bool) -> int:
     """Bytes per integer of one thread's scan_segment arrays on segments ending
-    at or below hi: σ and its factor buffer in sigma_width, n, its found part
-    and a spare in the kernel's width, the leftover mask and, when large,
-    the large-factor counts."""
-    return 1 + 2 * sigma_width(hi).itemsize + 3 * (4 if hi <= _INT32_MAX else 8) + large
+    at or below hi: σ and its factor buffer in sigma_width, n's cofactor and
+    found part in the kernel's width, the leftover mask and, when large, the
+    large-factor counts."""
+    return 1 + 2 * sigma_width(hi).itemsize + 2 * (4 if hi <= _INT32_MAX else 8) + large
 
 
 def plan(x: int, q: int = 1, workers: int = 1) -> None:
@@ -280,16 +280,15 @@ def scan_segment(
             view %= q
     if walk.size:
         np.floor_divide(rem, acc, out=rem)
-    # The leftover prime P contributes σ(P) = P + 1; rem = 1 contributes 1.
-    # Under the σ(n) bound it needs no reduction; above it, hi > q and
-    # rem is int64.
+    # The leftover prime P contributes σ(P) = P + 1, written over the spent
+    # found part; rem = 1 contributes 1.  Under the σ(n) bound it needs no
+    # reduction; above it, hi > q and rem is int64.
     mask = _scratch("leftover", size, bool)
     np.greater(rem, 1, out=mask)
-    sig_p = _scratch("spare", size, width)
-    np.add(rem, mask, out=sig_p)
+    np.add(rem, mask, out=acc)
     if not exact:
-        _reduce(sig_p, q, acc)
-    sig *= sig_p
+        _reduce(acc, q, buf)
+    sig *= acc
     if not narrow or q <= _INT32_MAX:  # else σ < 2³¹ ≤ q is reduced already
         _reduce(sig, q, buf)
     if large is not None:

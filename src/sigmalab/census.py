@@ -31,9 +31,9 @@ priced against the budget before any is built.  The sieve runs
 DEFAULT_SEGMENT_LENGTH segments and adds each one's classes into one
 int64 total in place (np.add.at) under a lock: exact in any order, so
 the same for any worker count, in 8·q bytes plus O(workers·segment).  The
-sublinear engine holds about three 2√x × φ(q)·(k + 1) int64 tables.
-The unit classes are then compacted into the front of the total in
-place, and the report's counts are a read-only mapping over it.
+sublinear engine holds about three 2√x × φ(q)·(k + 1) int64 tables.  The unit
+classes are then compacted into the front of the total in place, and the
+report's counts map the modulus's units, built on first read, to it.
 """
 
 from __future__ import annotations
@@ -145,22 +145,25 @@ class ClassCounts(Mapping):
     """Read-only mapping {unit class a: count} over two int64 arrays.
 
     key_array holds the unit classes in ascending order and value_array
-    their counts; both are read-only.  Lookups are a binary search,
-    iteration walks the arrays in chunks, and no Python object is made
-    per class until one is asked for.  It compares equal to any Mapping
-    with the same items, and its repr is that of the equal dict.
-    dict(counts) looks every class up in turn; dict(counts.items())
-    walks the arrays and is several times faster.
+    their counts; both are read-only.  Given a Modulus for keys, key_array is
+    its units, built on a key's first read; len and values() read none.  Lookups
+    are a binary search, iteration walks the arrays in chunks, and no Python
+    object is made per class until one is asked for.  It compares equal to any
+    Mapping with the same items, and its repr is that of the equal dict.
+    dict(counts) looks every class up in turn; dict(counts.items()) is faster.
     """
 
-    __slots__ = ("key_array", "value_array")
+    __slots__ = ("_keys", "value_array")
 
-    def __init__(self, keys: np.ndarray, values: np.ndarray) -> None:
-        keys, values = keys.view(), values.view()
-        keys.flags.writeable = False
-        values.flags.writeable = False
-        self.key_array = keys
-        self.value_array = values
+    def __init__(self, keys: np.ndarray | Modulus, values: np.ndarray) -> None:
+        self._keys = keys if isinstance(keys, Modulus) else _read_only(keys)
+        self.value_array = _read_only(values)
+
+    @property
+    def key_array(self) -> np.ndarray:
+        if isinstance(self._keys, Modulus):
+            self._keys = _read_only(self._keys.units)
+        return self._keys
 
     def __getitem__(self, key) -> int:
         try:
@@ -175,7 +178,7 @@ class ClassCounts(Mapping):
         raise KeyError(key)
 
     def __len__(self) -> int:
-        return self.key_array.shape[0]
+        return self.value_array.shape[0]
 
     def _chunks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         for start in range(0, len(self), _CHUNK):
@@ -206,10 +209,17 @@ class ClassCounts(Mapping):
         return "{" + ", ".join(parts) + "}"
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a = a.view()
+    a.flags.writeable = False
+    return a
+
+
 class _ClassValues(ValuesView):
     def __iter__(self) -> Iterator[int]:
-        for _, values in self._mapping._chunks():
-            yield from values.tolist()
+        values = self._mapping.value_array
+        for start in range(0, values.shape[0], _CHUNK):
+            yield from values[start : start + _CHUNK].tolist()
 
 
 class _ClassItems(ItemsView):
@@ -355,23 +365,25 @@ def census(
     _class_totals: the sublinear engine when _sublinear.preferred says φ(q)
     is small for this x, in about three 2√x × φ(q)·(k + 1) int64 tables,
     else the segment sieve, in about 8·q bytes plus O(workers·segment).
-    Each engine's arrays are checked against memory_budget bytes first;
-    ResourceBudgetError when neither fits.  Both are exact, so the counts
-    are the same for any engine and worker count.  The unit classes are then moved to the
-    front of the total in place, and the report's counts read it there.
+    The modulus's price, then each engine's arrays, are checked against
+    memory_budget bytes first; ResourceBudgetError when neither fits.  Both are
+    exact, so the counts are the same for any engine and worker count.  The unit
+    classes are then moved to the front of the total in place, and the report's
+    counts read them there, keyed by the units once a key is read.
     """
     x = int(x)
     if f is None:
         f = CensusFilter.all_integers()
     q = m.q
-    units = m.units
+    m.check_price()
     totals = _class_totals(x, m, f, workers, memory_budget)
-    # units[i] >= i, so each chunk reads only slots no earlier chunk wrote.
-    for start in range(0, m.phi, _CHUNK):
-        stop = min(start + _CHUNK, m.phi)
-        totals[start:stop] = totals[units[start:stop]]
+    primes_of_q, end = [ell for ell, _ in m.factorization], 0
+    for a in range(0, q, _CHUNK):  # each block is copied out before it is written, at or below a
+        block = totals[a : a + _CHUNK][_coprime_mask(a, min(a + _CHUNK, q), primes_of_q)]
+        totals[end : end + block.shape[0]] = block
+        end += block.shape[0]
     in_units = totals[: m.phi]
-    counts = ClassCounts(units, in_units)
+    counts = ClassCounts(m, in_units)
     total = int(in_units.sum())
     mean = total / m.phi
     max_rel = _max_rel_deviation(in_units, total) if total > 0 else float("nan")

@@ -315,15 +315,15 @@ class Modulus:
     def __hash__(self) -> int:
         return hash(("Modulus", self.q))
 
-    def _check_price(self) -> None:
-        """Check .price against the budget, once: before the first table."""
+    def check_price(self) -> None:
+        """Check .price against the budget unless a table is built already."""
         if self._basis is None and self._unit_mask is None:
             check_budget(self.price, self._memory_budget, f"tables mod {self.q}")
 
     @property
     def basis(self) -> UnitGroupBasis:
         if self._basis is None:
-            self._check_price()
+            self.check_price()
             basis = _build_basis(self.factorization)
             order_product = 1
             for g in basis.generators:
@@ -340,7 +340,7 @@ class Modulus:
     @property
     def unit_mask(self) -> np.ndarray:
         if self._unit_mask is None:
-            self._check_price()
+            self.check_price()
             self._unit_mask = _coprime_mask(0, self.q, [ell for ell, _ in self.factorization])
         return self._unit_mask
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._scan import DEFAULT_MEMORY_BUDGET, check_budget
+from ._scan import DEFAULT_MEMORY_BUDGET, MAX_SCAN_Q, check_budget
 from .characters import (
     DirichletCharacter,
     Modulus,
@@ -344,9 +344,17 @@ class PolynomialSpec:
         return out
 
     def evaluate_array(self, v: np.ndarray, modulus: int) -> np.ndarray:
-        """F(v) mod modulus, vectorized Horner over an int64 array, in place:
-        it holds one array as long as v, not a temporary per operation.
+        """F(v) mod modulus, vectorized Horner over an int64 array of residues,
+        in place while (modulus − 1)² fits int64, else by _mulmod in uint64.
         Each coefficient is reduced mod modulus first, so any fits int64."""
+        if modulus - 1 > MAX_SCAN_Q:
+            v = (v % modulus).astype(np.uint64)
+            out = np.full_like(v, self.coefficients[-1] % modulus)
+            for c in reversed(self.coefficients[:-1]):
+                out = _mulmod(out, v, modulus)
+                out += c % modulus
+                out %= modulus
+            return out.astype(np.int64)
         out = np.zeros_like(v)
         for c in reversed(self.coefficients):
             out *= v
@@ -370,6 +378,23 @@ class PolynomialSpec:
             else:
                 parts.append(f"+{term}" if c > 0 else f"-{term}")
         return "".join(parts)
+
+
+def _mulmod(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """a·b mod m for uint64 arrays of residues mod m < 2⁶³, by Horner over b's
+    k-bit digits, k = 64 − bits(m), so that r·2ᵏ and a·digit fit uint64."""
+    k = 64 - m.bit_length()
+    r, d = np.zeros_like(a), np.empty_like(a)
+    for shift in range((63 - k) // k * k, -1, -k):
+        r <<= k
+        r %= m
+        np.right_shift(b, shift, out=d)
+        d &= (1 << k) - 1
+        d *= a
+        d %= m
+        r += d
+        np.subtract(r, m, out=r, where=r >= m)
+    return r
 
 
 SIGMA_AT_PRIME = PolynomialSpec((1, 1))

@@ -194,12 +194,15 @@ def _decimal_rows(rows: np.ndarray, a: np.ndarray) -> None:
 
 
 def _string_order(keys: np.ndarray) -> np.ndarray:
-    """The permutation that puts keys, 0 <= k < 10^18, in the order of their
-    decimal strings: by the digits padded on the right to a common width,
-    then by length, so "1" < "10" < "100" < "11" < "2".  Ten times faster
-    than sorting keys.astype(str)."""
-    extra = np.searchsorted(_POWERS_OF_TEN, keys, side="right")  # digits after the first
-    return np.lexsort((extra, keys * 10 ** (int(extra.max()) - extra)))
+    """The permutation that puts ascending keys, 0 <= k < 10^18, in the order
+    of their decimal strings: by the digits padded on the right to a common
+    width, one slice per length, then by length, so "1" < "10" < "100" < "11"."""
+    width = len(str(keys[-1]))
+    ends = np.searchsorted(keys, _POWERS_OF_TEN[: width - 1]).tolist() + [keys.shape[0]]
+    padded = keys.copy()
+    for digits, (start, stop) in enumerate(zip([0] + ends, ends), 1):
+        padded[start:stop] *= 10 ** (width - digits)
+    return np.argsort(padded, kind="stable")
 
 
 def _write_counts(stream, counts: ClassCounts) -> None:

@@ -33,6 +33,7 @@ from sigmalab._scan import (kernel_bytes, prime_table_bytes, primes_up_to, relea
                             scan_segment)
 from sigmalab.census import (
     ClassCounts,
+    _class_totals,
     _max_rel_deviation,
     _sieve_totals,
 )
@@ -126,8 +127,8 @@ def test_census_refuses_workers_below_one(workers):
 
 
 # The kernel arrays of one thread over a segment below 351 302 975: sigma,
-# the factor buffer, n's cofactor, found part and spare in int32, the
-# leftover mask, 21 bytes per integer, and some slack.
+# the factor buffer, n's cofactor and found part in int32, the leftover
+# mask, 17 bytes per integer, and some slack.
 KERNEL_BYTES = 24 * L
 
 
@@ -156,11 +157,11 @@ def test_class_totals_memory_bounded_by_workers(x, q, workers, bound):
 
 def sieve_census_need(x: int, q: int, kind: str, workers: int) -> int:
     """The sieve census's price below 351 302 975, where sigma is int32: the
-    totals and the primes <= sqrt(x), and per worker the kernel's 21 bytes
+    totals and the primes <= sqrt(x), and per worker the kernel's 17 bytes
     per integer of its segment, 5 more for the filtered copy of sigma and its
     mask, 1 more for the large-factor counts, and 128 KiB of ufunc buffers
     and small temporaries."""
-    per_int = 21 + 5 * (kind != "all") + (kind == "pk-threshold")
+    per_int = 17 + 5 * (kind != "all") + (kind == "pk-threshold")
     return (8 * q + workers * (per_int * min(L, x) + (1 << 17))
             + prime_table_bytes(math.isqrt(x)))
 
@@ -297,6 +298,52 @@ def test_class_counts_protocol():
     assert five != census(2 * x, build_modulus(5)).counts
     assert five != {1: five[1]}
     assert type(five[1]) is int
+
+
+def test_sieve_census_builds_its_keys_on_first_read():
+    """A sieve census builds no unit table: len, values() and discrepancy
+    read only the counts, and the keys come from the modulus's units on the
+    first read of a key.  The counts then equal the oracle and an
+    array-built ClassCounts, both ways, with the same repr."""
+    x, q = 2 * 10**5, 100_003
+    m = build_modulus(q)
+    report = census(x, m)
+    counts = report.counts
+    assert len(counts) == m.phi and sum(counts.values()) == report.total_coprime
+    assert discrepancy(report) == report.max_rel_deviation
+    assert m._unit_mask is None and m._units is None
+    want = brute_census(x, q, lambda n: True)
+    assert counts == want
+    assert m._units is not None
+    built = ClassCounts(m.units, counts.value_array)
+    assert counts == built and built == counts
+    assert repr(counts) == repr(built) == repr(want)
+
+
+def test_sieve_census_peak_holds_no_unit_table():
+    """The whole sieve census, from a modulus with no table yet, stays within
+    the sieve's own price: no q bytes of unit mask or 8·phi of units."""
+    x, q, workers = 2 * 10**5, 1_000_003, 2
+    m = build_modulus(q)
+    tracemalloc.start()
+    try:
+        census(x, m, workers=workers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sieve_census_need(x, q, "all", workers), peak
+    assert m._unit_mask is None and m._units is None
+
+
+@pytest.mark.parametrize("q", [1, 2, 30_030, 2**5 * 3**3 * 7])
+def test_compaction_matches_the_unit_gather(q):
+    """Compacting the totals by the coprime mask gives the bytes of a gather
+    at the units, on either engine and under every filter."""
+    x, m = 3 * 10**5, build_modulus(q)
+    for f in (CensusFilter.all_integers(), CensusFilter.coprime_only(),
+              CensusFilter.pk_threshold(2, 7)):
+        got = census(x, m, f).counts.value_array
+        assert got.tobytes() == _class_totals(x, m, f, 1)[m.units].tobytes(), (q, f)
 
 
 @settings(max_examples=200, deadline=None)

@@ -238,6 +238,25 @@ def test_polynomial_spec():
     assert alpha_F(big, build_modulus(7)) == alpha_F(small, build_modulus(7))
 
 
+@pytest.mark.parametrize("modulus", [3_037_000_500, 3_037_000_501, 2**32 - 5, 2**32 + 15,
+                                     10**10 + 19, 2**62 + 135, 2**63 - 25])
+def test_evaluate_array_exact_beyond_int64_products(modulus):
+    """Where (modulus - 1)^2 leaves int64, each Horner product is taken
+    modulo the modulus, so every value equals Python's Horner."""
+    rng = np.random.default_rng(modulus % 2**32)
+    v = np.concatenate((rng.integers(0, modulus, 3_000), [0, 1, modulus - 2, modulus - 1]))
+    for F in (PolynomialSpec((1, 1)), PolynomialSpec((1, 1, 1)),
+              PolynomialSpec((-7, 3, 0, 10**19, 5))):
+        assert F.evaluate_array(v, modulus).tolist() == [F(a, modulus) for a in v.tolist()]
+
+
+def test_evaluate_array_at_a_prime_above_two_to_the_32():
+    """F = T^2 + T + 1 at v = ell - 2 is 4 - 2 + 1 = 3 modulo ell = 4294967311;
+    the int64 Horner step wrapped to 4294967089."""
+    ell = 4_294_967_311
+    assert PolynomialSpec((1, 1, 1)).evaluate_array(np.array([ell - 2]), ell).tolist() == [3]
+
+
 def test_exceptional_conductor_set():
     assert len(EXCEPTIONAL_CONDUCTORS) == 18
     assert {5, 7, 13, 35} <= set(EXCEPTIONAL_CONDUCTORS)

@@ -327,7 +327,7 @@ def test_census_below_the_table_budget_takes_the_sieve(monkeypatch):
     the primes <= sqrt(x); one byte below that estimate it raises."""
     x, m = 1 << 18, build_modulus(5)
     want = census(x, m)
-    sieve_need = (8 * 5 + 21 * min(DEFAULT_SEGMENT_LENGTH, x) + (1 << 17)
+    sieve_need = (8 * 5 + 17 * min(DEFAULT_SEGMENT_LENGTH, x) + (1 << 17)
                   + prime_table_bytes(math.isqrt(x)))
     calls = []
     real = _sublinear.class_totals
