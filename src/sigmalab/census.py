@@ -460,7 +460,7 @@ def prime_reciprocal_sum(
     total = 0.0
     for start in range(0, primes.shape[0], _PRIME_CHUNK):
         block = primes[start : start + _PRIME_CHUNK]
-        values = F.evaluate_array(block % q, q)
+        values = F.evaluate_array(block, q)
         ok = np.gcd(values, q) == 1
         total += float(np.sum(1.0 / block[ok].astype(np.float64)))
     return total

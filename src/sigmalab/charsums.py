@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._scan import DEFAULT_MEMORY_BUDGET, MAX_SCAN_Q, check_budget
+from ._scan import DEFAULT_MEMORY_BUDGET, check_budget
 from .characters import (
     DirichletCharacter,
     Modulus,
@@ -344,22 +344,18 @@ class PolynomialSpec:
         return out
 
     def evaluate_array(self, v: np.ndarray, modulus: int) -> np.ndarray:
-        """F(v) mod modulus, vectorized Horner over an int64 array of residues,
-        in place while (modulus − 1)² fits int64, else by _mulmod in uint64.
-        Each coefficient is reduced mod modulus first, so any fits int64."""
-        if modulus - 1 > MAX_SCAN_Q:
-            v = (v % modulus).astype(np.uint64)
-            out = np.full_like(v, self.coefficients[-1] % modulus)
+        """F(v) mod modulus < 2⁶³ for a 1-d integer array v, by vectorized
+        Horner in uint64 with each product taken by _mulmod.  Each coefficient
+        is reduced mod modulus first, so any fits int64.  Works in blocks of
+        _HORNER_CHUNK, so its temporaries stay in cache and off the peak."""
+        out = np.empty(len(v), dtype=np.int64)
+        for a in range(0, len(v), _HORNER_CHUNK):
+            w = np.asarray(v[a : a + _HORNER_CHUNK] % modulus, dtype=np.int64).view(np.uint64)
+            r = np.full_like(w, self.coefficients[-1] % modulus)
             for c in reversed(self.coefficients[:-1]):
-                out = _mulmod(out, v, modulus)
-                out += c % modulus
-                out %= modulus
-            return out.astype(np.int64)
-        out = np.zeros_like(v)
-        for c in reversed(self.coefficients):
-            out *= v
-            out += c % modulus
-            out %= modulus
+                r = _mulmod(r, w, modulus) + c % modulus
+                r = np.minimum(r, r - modulus)  # r − m wraps above r when r < m
+            out[a : a + _HORNER_CHUNK] = r
         return out
 
     def __str__(self) -> str:
@@ -380,20 +376,19 @@ class PolynomialSpec:
         return "".join(parts)
 
 
+_HORNER_CHUNK = 1 << 16
+
+
 def _mulmod(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     """a·b mod m for uint64 arrays of residues mod m < 2⁶³, by Horner over b's
-    k-bit digits, k = 64 − bits(m), so that r·2ᵏ and a·digit fit uint64."""
+    k-bit digits, k = 64 − bits(m), so that r·2ᵏ and a·digit fit uint64.  For
+    m < 2³² (k ≥ 32) b is one digit and this is a·b % m."""
     k = 64 - m.bit_length()
-    r, d = np.zeros_like(a), np.empty_like(a)
-    for shift in range((63 - k) // k * k, -1, -k):
-        r <<= k
-        r %= m
-        np.right_shift(b, shift, out=d)
-        d &= (1 << k) - 1
-        d *= a
-        d %= m
-        r += d
-        np.subtract(r, m, out=r, where=r >= m)
+    top = (63 - k) // k * k  # the top digit b >> top is below 2ᵏ, since b < 2⁶⁴⁻ᵏ
+    r = (b >> top) * a % m
+    for shift in range(top - k, -1, -k):
+        r = (r << k) % m + ((b >> shift) & ((1 << k) - 1)) * a % m
+        r = np.minimum(r, r - m)
     return r
 
 

@@ -238,11 +238,11 @@ def test_polynomial_spec():
     assert alpha_F(big, build_modulus(7)) == alpha_F(small, build_modulus(7))
 
 
-@pytest.mark.parametrize("modulus", [3_037_000_500, 3_037_000_501, 2**32 - 5, 2**32 + 15,
-                                     10**10 + 19, 2**62 + 135, 2**63 - 25])
+@pytest.mark.parametrize("modulus", [2, 13, 3_037_000_499, 3_037_000_500, 3_037_000_501,
+                                     2**32 - 5, 2**32 + 15, 10**10 + 19, 2**62 + 135, 2**63 - 25])
 def test_evaluate_array_exact_beyond_int64_products(modulus):
-    """Where (modulus - 1)^2 leaves int64, each Horner product is taken
-    modulo the modulus, so every value equals Python's Horner."""
+    """Each Horner product is taken modulo the modulus, also where
+    (modulus - 1)^2 leaves int64, so every value equals Python's Horner."""
     rng = np.random.default_rng(modulus % 2**32)
     v = np.concatenate((rng.integers(0, modulus, 3_000), [0, 1, modulus - 2, modulus - 1]))
     for F in (PolynomialSpec((1, 1)), PolynomialSpec((1, 1, 1)),
